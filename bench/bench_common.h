@@ -180,7 +180,7 @@ inline void RunComparisonTable(const std::string& title,
   core::TspnRa tspn(dataset, MakeTspnConfig(*dataset, s));
   // The two-step ArcFace objective sees fewer negatives per sample than the
   // baselines' full softmax, so TSPN-RA gets a proportionally larger sample
-  // budget (all models remain far below convergence; see EXPERIMENTS.md).
+  // budget (all models remain far below convergence at these budgets).
   BenchSettings tspn_settings = s;
   tspn_settings.train_samples = s.train_samples * 2;
   tspn_settings.epochs = s.epochs + 2;

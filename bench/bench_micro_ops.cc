@@ -10,10 +10,12 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "common/rng.h"
+#include "core/hgat.h"
 #include "graph/qrp_graph.h"
 #include "nn/conv.h"
 #include "nn/kernels.h"
@@ -226,7 +228,72 @@ void Conv2dBackward(const float* g, const float* xv, const float* wv, float* gw,
   }
 }
 
+/// The dense QR-P encode that the sparse QrpEncoder replaced: a symmetric
+/// {0,1} [n, n] mask per edge type, built per call, and per layer a masked
+/// row softmax times the [n, dm] features. `params` holds QrpEncoder's
+/// Parameters(): per layer a_src/a_dst for each type, W_0..W_2, W_self.
+nn::Tensor DenseQrpEncode(const graph::QrpGraph& graph,
+                          const std::vector<nn::Tensor>& params,
+                          const nn::Tensor& tile_init, const nn::Tensor& poi_init) {
+  const int64_t n = graph.NumNodes();
+  auto dense = [n](const std::vector<std::pair<int32_t, int32_t>>& edges) {
+    std::vector<float> mask(static_cast<size_t>(n * n), 0.0f);
+    for (const auto& [a, b] : edges) {
+      mask[static_cast<size_t>(a) * n + b] = 1.0f;
+      mask[static_cast<size_t>(b) * n + a] = 1.0f;
+    }
+    return nn::Tensor::FromVector({n, n}, std::move(mask));
+  };
+  const std::vector<nn::Tensor> adjacency = {dense(graph.branch_edges),
+                                             dense(graph.road_edges),
+                                             dense(graph.contain_edges)};
+  auto linear = [](const nn::Tensor& x, const nn::Tensor& w) {
+    return nn::MatMul(x, nn::Transpose(w));
+  };
+  nn::Tensor h = nn::ConcatRows({tile_init, poi_init});
+  for (size_t base = 0; base + 10 <= params.size(); base += 10) {
+    const nn::Tensor* p = params.data() + base;
+    nn::Tensor aggregated = linear(h, p[9]);
+    for (size_t k = 0; k < 3; ++k) {
+      const nn::Tensor& adj = adjacency[k];
+      nn::Tensor hk = linear(h, p[6 + k]);
+      nn::Tensor e_src = nn::Reshape(nn::MatVec(hk, p[2 * k]), {n, 1});
+      nn::Tensor e_dst = nn::Reshape(nn::MatVec(hk, p[2 * k + 1]), {1, n});
+      nn::Tensor scores = nn::LeakyRelu(nn::Add(e_src, e_dst), 0.2f);
+      nn::Tensor neg_mask =
+          nn::MulScalar(nn::AddScalar(nn::Neg(adj), 1.0f), -1e9f);
+      nn::Tensor attention =
+          nn::Mul(nn::Softmax(nn::Add(scores, neg_mask)), adj);
+      aggregated = nn::Add(aggregated, nn::MatMul(attention, hk));
+    }
+    h = nn::Elu(aggregated);
+  }
+  return h;
+}
+
 }  // namespace seedref
+
+/// A QR-P graph the size the NYC-sim serving workload sees (about 80 nodes,
+/// 90 edges): a random 45-tile branch tree, 35 POIs each contained in one
+/// tile, and 11 road edges between tiles.
+graph::QrpGraph WireSizedQrpGraph(common::Rng& rng) {
+  graph::QrpGraph g;
+  const int32_t tiles = 45, pois = 35;
+  for (int32_t i = 0; i < tiles; ++i) g.tile_ids.push_back(i);
+  for (int32_t i = 0; i < pois; ++i) g.poi_ids.push_back(i);
+  for (int32_t c = 1; c < tiles; ++c) {
+    g.branch_edges.push_back({static_cast<int32_t>(rng.UniformInt(c)), c});
+  }
+  for (int i = 0; i < 11; ++i) {
+    g.road_edges.push_back({static_cast<int32_t>(rng.UniformInt(tiles)),
+                            static_cast<int32_t>(rng.UniformInt(tiles))});
+  }
+  for (int32_t p = 0; p < pois; ++p) {
+    g.contain_edges.push_back(
+        {static_cast<int32_t>(rng.UniformInt(tiles)), tiles + p});
+  }
+  return g;
+}
 
 // --- Harness -----------------------------------------------------------------
 
@@ -379,6 +446,48 @@ int main() {
            gx_t.ZeroGrad();
            gw_t.ZeroGrad();
          }});
+  }
+
+  // QR-P history-graph encode at serving scale: two HGAT layers, dm 32, on
+  // a wire-sized graph. Seed: dense [n, n] masks; now: neighbour lists.
+  // Inference (no autograd) and a training step (forward + backward into
+  // the parameters and initial embeddings).
+  {
+    auto qrp = std::make_shared<const graph::QrpGraph>(WireSizedQrpGraph(rng));
+    core::TspnRaConfig config;
+    config.dm = 32;
+    config.num_hgat_layers = 2;
+    auto encoder = std::make_shared<const core::QrpEncoder>(config, rng);
+    const Tensor tiles =
+        Tensor::RandomUniform({qrp->NumTileNodes(), 32}, 1.0f, rng, true);
+    const Tensor pois =
+        Tensor::RandomUniform({qrp->NumPoiNodes(), 32}, 1.0f, rng, true);
+    auto library = [qrp, encoder, tiles, pois] {
+      std::vector<const graph::QrpGraph*> one = {qrp.get()};
+      core::QrpEncoder::Output out = encoder->Encode(one, tiles, pois);
+      return nn::ConcatRows({out.tile_knowledge, out.poi_knowledge});
+    };
+    auto dense = [qrp, encoder, tiles, pois] {
+      return seedref::DenseQrpEncode(*qrp, encoder->Parameters(), tiles, pois);
+    };
+    auto train_step = [encoder, tiles, pois](const std::function<Tensor()>& fn) {
+      nn::SumAll(fn()).Backward();
+      for (Tensor p : encoder->Parameters()) p.ZeroGrad();
+      Tensor(tiles).ZeroGrad();
+      Tensor(pois).ZeroGrad();
+    };
+    cases.push_back({"qrp_encode_80",
+                     [dense] {
+                       nn::NoGradGuard guard;
+                       dense();
+                     },
+                     [library] {
+                       nn::NoGradGuard guard;
+                       library();
+                     }});
+    cases.push_back({"qrp_encode_train_80",
+                     [train_step, dense] { train_step(dense); },
+                     [train_step, library] { train_step(library); }});
   }
 
   bench::JsonReporter reporter("micro_ops");

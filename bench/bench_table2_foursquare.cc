@@ -18,7 +18,7 @@ int main() {
       "\nShape check vs paper Table II: the paper has TSPN-RA first on every "
       "metric with DeepMove/LSTPM/Graph-Flashback as the strongest baselines "
       "and MC/STRNN trailing. At default CPU budgets TSPN-RA reaches the "
-      "upper-middle of the field; see EXPERIMENTS.md for the coverage-vs-"
-      "budget analysis and the knobs that close the gap.\n");
+      "upper-middle of the field; TSPN_BENCH_EPOCHS and "
+      "TSPN_BENCH_TRAIN_SAMPLES raise the training budget.\n");
   return 0;
 }

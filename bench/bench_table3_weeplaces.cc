@@ -18,6 +18,6 @@ int main() {
       "\nShape check vs paper Table III: the paper keeps TSPN-RA on top under "
       "sparse state-wide distributions; STiSAN degrades relative to its urban "
       "showing (nearest-negative sampling weakness). Default-budget caveats "
-      "as in Table II — see EXPERIMENTS.md.\n");
+      "as in Table II.\n");
   return 0;
 }

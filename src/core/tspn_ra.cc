@@ -313,24 +313,71 @@ TspnRa::ForwardOut TspnRa::Forward(const Features& f, const nn::Tensor& et,
     poi_seq = nn::Add(poi_seq, net_->temporal.SlotEmbeddings(f.time_slots));
   }
   // --- Historical graph knowledge (Sec. IV-C) --------------------------------
-  nn::Tensor tile_history = net_->null_tile_history;
-  nn::Tensor poi_history = net_->null_poi_history;
-  if (config_.use_graph && f.history_graph != nullptr && !f.history_graph->empty()) {
-    const graph::QrpGraph& g = *f.history_graph;
-    std::vector<int64_t> tile_rows(g.tile_ids.begin(), g.tile_ids.end());
-    nn::Tensor tile_init = nn::EmbeddingGather(et, tile_rows);
-    std::vector<int64_t> cats;
-    cats.reserve(g.poi_ids.size());
-    for (int64_t pid : g.poi_ids) cats.push_back(dataset_->poi(pid).category);
-    nn::Tensor poi_init = net_->poi_encoder.Encode(g.poi_ids, cats);
-    QrpEncoder::Output knowledge = net_->qrp.Encode(g, tile_init, poi_init);
-    tile_history = knowledge.tile_knowledge;
-    poi_history = knowledge.poi_knowledge;
-  }
+  HistoryPack history = EncodeHistories(common::Span<Features>(&f, 1), et);
   // --- Attention fusion (Sec. V-A) -------------------------------------------
   ForwardOut out;
-  out.h_tile = net_->mp1.Forward(tile_seq, tile_history, rng);
-  out.h_poi = net_->mp2.Forward(poi_seq, poi_history, rng);
+  out.h_tile = net_->mp1.Forward(tile_seq, history.tile, rng);
+  out.h_poi = net_->mp2.Forward(poi_seq, history.poi, rng);
+  return out;
+}
+
+TspnRa::HistoryPack TspnRa::EncodeHistories(common::Span<Features> features,
+                                            const nn::Tensor& et) const {
+  auto has_graph = [this](const Features& f) {
+    return config_.use_graph && f.history_graph != nullptr &&
+           !f.history_graph->empty();
+  };
+  std::vector<const graph::QrpGraph*> graphs;
+  std::vector<int64_t> tile_rows, poi_ids, poi_cats;
+  for (const Features& f : features) {
+    if (!has_graph(f)) continue;
+    const graph::QrpGraph& g = *f.history_graph;
+    graphs.push_back(&g);
+    tile_rows.insert(tile_rows.end(), g.tile_ids.begin(), g.tile_ids.end());
+    for (int64_t pid : g.poi_ids) {
+      poi_ids.push_back(pid);
+      poi_cats.push_back(dataset_->poi(pid).category);
+    }
+  }
+  QrpEncoder::Output knowledge;
+  if (!graphs.empty()) {
+    knowledge = net_->qrp.Encode(graphs, nn::EmbeddingGather(et, tile_rows),
+                                 net_->poi_encoder.Encode(poi_ids, poi_cats));
+  }
+  HistoryPack out;
+  out.tile_offsets.assign(features.size() + 1, 0);
+  out.poi_offsets.assign(features.size() + 1, 0);
+  for (size_t b = 0; b < features.size(); ++b) {
+    const graph::QrpGraph* g = features[b].history_graph;
+    const bool encoded = has_graph(features[b]);
+    out.tile_offsets[b + 1] =
+        out.tile_offsets[b] + (encoded ? g->NumTileNodes() : 1);
+    out.poi_offsets[b + 1] =
+        out.poi_offsets[b] + (encoded ? g->NumPoiNodes() : 1);
+  }
+  if (graphs.size() == features.size()) {
+    out.tile = knowledge.tile_knowledge;
+    out.poi = knowledge.poi_knowledge;
+    return out;
+  }
+  // Some samples have no graph: interleave their null-history rows.
+  std::vector<nn::Tensor> tile_parts, poi_parts;
+  int64_t tile_row = 0, poi_row = 0;  // next unread rows of `knowledge`
+  for (const Features& f : features) {
+    if (!has_graph(f)) {
+      tile_parts.push_back(net_->null_tile_history);
+      poi_parts.push_back(net_->null_poi_history);
+      continue;
+    }
+    const int64_t tiles = f.history_graph->NumTileNodes();
+    const int64_t pois = f.history_graph->NumPoiNodes();
+    tile_parts.push_back(nn::SliceRows(knowledge.tile_knowledge, tile_row, tiles));
+    poi_parts.push_back(nn::SliceRows(knowledge.poi_knowledge, poi_row, pois));
+    tile_row += tiles;
+    poi_row += pois;
+  }
+  out.tile = tile_parts.size() == 1 ? tile_parts[0] : nn::ConcatRows(tile_parts);
+  out.poi = poi_parts.size() == 1 ? poi_parts[0] : nn::ConcatRows(poi_parts);
   return out;
 }
 
@@ -375,45 +422,17 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(
   if (config_.use_st_encoder) {
     poi_seq = nn::Add(poi_seq, net_->temporal.SlotEmbeddings(all_slots));
   }
-  // Historical knowledge (Sec. IV-C) stays per sample — each history graph
-  // has its own structure — but the encodings are packed row-wise so the
-  // fusion stage can slice them per segment.
-  std::vector<nn::Tensor> tile_hists, poi_hists;
-  std::vector<int64_t> tile_hist_offsets(batch + 1, 0);
-  std::vector<int64_t> poi_hist_offsets(batch + 1, 0);
-  tile_hists.reserve(batch);
-  poi_hists.reserve(batch);
-  for (size_t b = 0; b < batch; ++b) {
-    const Features& f = features[b];
-    nn::Tensor tile_history = net_->null_tile_history;
-    nn::Tensor poi_history = net_->null_poi_history;
-    if (config_.use_graph && f.history_graph != nullptr &&
-        !f.history_graph->empty()) {
-      const graph::QrpGraph& g = *f.history_graph;
-      std::vector<int64_t> tile_rows(g.tile_ids.begin(), g.tile_ids.end());
-      nn::Tensor tile_init = nn::EmbeddingGather(et, tile_rows);
-      std::vector<int64_t> cats;
-      cats.reserve(g.poi_ids.size());
-      for (int64_t pid : g.poi_ids) cats.push_back(dataset_->poi(pid).category);
-      nn::Tensor poi_init = net_->poi_encoder.Encode(g.poi_ids, cats);
-      QrpEncoder::Output knowledge = net_->qrp.Encode(g, tile_init, poi_init);
-      tile_history = knowledge.tile_knowledge;
-      poi_history = knowledge.poi_knowledge;
-    }
-    tile_hist_offsets[b + 1] = tile_hist_offsets[b] + tile_history.dim(0);
-    poi_hist_offsets[b + 1] = poi_hist_offsets[b] + poi_history.dim(0);
-    tile_hists.push_back(std::move(tile_history));
-    poi_hists.push_back(std::move(poi_history));
-  }
-  nn::Tensor tile_hist = nn::ConcatRows(tile_hists);
-  nn::Tensor poi_hist = nn::ConcatRows(poi_hists);
+  // Historical knowledge (Sec. IV-C): all history graphs of the batch go
+  // through one packed QR-P encode, already packed row-wise per sample for
+  // the fusion stage.
+  HistoryPack history = EncodeHistories(features, et);
   // Attention fusion (Sec. V-A) over the pack: projections, norms and
   // feed-forward as single GEMMs, per-segment softmax inside.
   BatchForwardOut out;
-  out.h_tile =
-      net_->mp1.ForwardPacked(tile_seq, offsets, tile_hist, tile_hist_offsets);
-  out.h_poi =
-      net_->mp2.ForwardPacked(poi_seq, offsets, poi_hist, poi_hist_offsets);
+  out.h_tile = net_->mp1.ForwardPacked(tile_seq, offsets, history.tile,
+                                       history.tile_offsets);
+  out.h_poi = net_->mp2.ForwardPacked(poi_seq, offsets, history.poi,
+                                      history.poi_offsets);
   return out;
 }
 
@@ -1071,8 +1090,8 @@ std::vector<eval::RecommendResponse> TspnRa::RecommendBatchImpl(
 
   // One batched encoder forward for the whole coalesced batch: the B query
   // sequences ride a single packed [total_len, dm] tensor through the
-  // projections, norms and feed-forwards, with only softmax(QK^T)V and the
-  // structurally irregular history-graph encodings handled per segment
+  // projections, norms, feed-forwards and the history graphs' QR-P encode
+  // (one disjoint union), with only softmax(QK^T)V handled per segment
   // (inside ForwardBatch). Every packed op computes rows independently with
   // the serial accumulation order, so the [batch, dm] outputs here are
   // bitwise-identical to B serial Forward() calls.

@@ -169,13 +169,27 @@ class TspnRa : public eval::NextPoiModel {
   ForwardOut Forward(const Features& features, const nn::Tensor& et,
                      common::Rng& rng) const;
 
+  /// Historical knowledge (Sec. IV-C) of a pack of samples, packed row-wise
+  /// per sample: rows [offsets[b], offsets[b + 1]) belong to sample b.
+  struct HistoryPack {
+    nn::Tensor tile;  // H^T_< rows
+    nn::Tensor poi;   // H^P_< rows
+    std::vector<int64_t> tile_offsets, poi_offsets;
+  };
+  /// Runs every sample's non-empty history graph through one packed QR-P
+  /// encode (initial embeddings gathered once); samples without one get
+  /// the learned null-history rows. Forward() calls it with one sample,
+  /// ForwardBatch() with the whole batch.
+  HistoryPack EncodeHistories(common::Span<Features> features,
+                              const nn::Tensor& et) const;
+
   /// Batched inference forward: one packed encoder pass over all samples.
   /// The tile/POI sequences are concatenated row-wise and run through the
-  /// embedding gathers, spatial/temporal encoders and fusion modules as
-  /// whole-pack tensors (per-sample only where structure forces it: the
-  /// history-graph HGAT encodings and the within-sequence attention
-  /// softmax). Returns [B, dm] h_tile / h_poi matrices whose rows are
-  /// bitwise identical to Forward() on each sample. Inference-only.
+  /// embedding gathers, spatial/temporal encoders, the packed history-graph
+  /// encode and the fusion modules as whole-pack tensors (per-sample only
+  /// where structure forces it: the within-sequence attention softmax).
+  /// Returns [B, dm] h_tile / h_poi matrices whose rows are bitwise
+  /// identical to Forward() on each sample. Inference-only.
   struct BatchForwardOut {
     nn::Tensor h_tile;  // [B, dm]
     nn::Tensor h_poi;   // [B, dm]

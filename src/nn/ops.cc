@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 #include "common/check.h"
 #include "nn/kernels.h"
@@ -803,6 +804,113 @@ Tensor Dropout(const Tensor& a, float p, common::Rng& rng, bool training) {
     for (int64_t i = 0; i < count; ++i) pg[i] += g[i] * mask[static_cast<size_t>(i)];
   };
   return MakeOp(a.shape(), std::move(out), {a}, backward, "dropout");
+}
+
+Tensor EdgeSoftmaxAggregate(const Tensor& src, const Tensor& dst,
+                            const Tensor& values, const NeighborLists& neighbors,
+                            float negative_slope) {
+  TSPN_CHECK_EQ(values.rank(), 2);
+  const int64_t n = values.dim(0), d = values.dim(1);
+  TSPN_CHECK_EQ(src.numel(), n);
+  TSPN_CHECK_EQ(dst.numel(), n);
+  TSPN_CHECK_EQ(neighbors.num_nodes(), n);
+  TSPN_CHECK_EQ(neighbors.row_ptr[0], 0);
+  TSPN_CHECK_EQ(neighbors.row_ptr[static_cast<size_t>(n)], neighbors.num_entries());
+  const int64_t* row_ptr = neighbors.row_ptr.data();
+  const int32_t* col = neighbors.col.data();
+  for (int64_t i = 0; i < n; ++i) TSPN_CHECK_LE(row_ptr[i], row_ptr[i + 1]);
+  for (int64_t e = 0; e < neighbors.num_entries(); ++e) {
+    TSPN_CHECK(col[e] >= 0 && col[e] < n) << "neighbour " << col[e] << " of " << n;
+  }
+  const float* ps = src.data();
+  const float* pd = dst.data();
+  const float* pv = values.data();
+  // alpha[e]: attention weight of entry e, kept for the backward pass.
+  std::vector<float> alpha(static_cast<size_t>(neighbors.num_entries()));
+  std::vector<float> out(static_cast<size_t>(n * d), 0.0f);
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t begin = row_ptr[i], end = row_ptr[i + 1];
+    if (begin == end) continue;
+    float* a = alpha.data() + begin;
+    // The row softmax of SoftmaxImpl restricted to the neighbour entries.
+    float mx = -std::numeric_limits<float>::infinity();
+    for (int64_t e = begin; e < end; ++e) {
+      const float z = ps[i] + pd[col[e]];
+      a[e - begin] = z > 0.0f ? z : negative_slope * z;
+      mx = std::max(mx, a[e - begin]);
+    }
+    double denom = 0.0;
+    for (int64_t k = 0; k < end - begin; ++k) {
+      denom += std::exp(static_cast<double>(a[k] - mx));
+    }
+    const float log_denom = static_cast<float>(std::log(denom));
+    float* o = out.data() + i * d;
+    for (int64_t e = begin; e < end; ++e) {
+      const float w = std::exp(a[e - begin] - mx - log_denom);
+      a[e - begin] = w;
+      const float* v = pv + static_cast<int64_t>(col[e]) * d;
+      for (int64_t c = 0; c < d; ++c) o[c] += w * v[c];
+    }
+  }
+  const bool track = NoGradGuard::GradEnabled() &&
+                     (src.requires_grad() || dst.requires_grad() ||
+                      values.requires_grad());
+  std::vector<int64_t> saved_rows;
+  std::vector<int32_t> saved_cols;
+  if (track) {
+    saved_rows = neighbors.row_ptr;
+    saved_cols = neighbors.col;
+  } else {
+    alpha.clear();
+  }
+  auto backward = [n, d, negative_slope, alpha = std::move(alpha),
+                   row_ptr = std::move(saved_rows),
+                   col = std::move(saved_cols)](TensorNode& node) {
+    float* gs = GradPtr(node.parents[0]);
+    float* gd = GradPtr(node.parents[1]);
+    float* gv = GradPtr(node.parents[2]);
+    const float* ps = node.parents[0]->data.data();
+    const float* pd = node.parents[1]->data.data();
+    const float* pv = node.parents[2]->data.data();
+    const float* g = node.grad.data();
+    std::vector<float> galpha;  // dL/da_ij of the current row
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t begin = row_ptr[static_cast<size_t>(i)];
+      const int64_t end = row_ptr[static_cast<size_t>(i) + 1];
+      if (begin == end) continue;
+      const float* a = alpha.data() + begin;
+      const float* gi = g + i * d;
+      if (gv != nullptr) {
+        for (int64_t e = begin; e < end; ++e) {
+          float* gvj = gv + static_cast<int64_t>(col[static_cast<size_t>(e)]) * d;
+          for (int64_t c = 0; c < d; ++c) gvj[c] += a[e - begin] * gi[c];
+        }
+      }
+      if (gs == nullptr && gd == nullptr) continue;
+      // Softmax backward (dz = a * (g - sum(g * a))), then LeakyReLU's slope.
+      galpha.resize(static_cast<size_t>(end - begin));
+      double dot = 0.0;
+      for (int64_t e = begin; e < end; ++e) {
+        const float* v = pv + static_cast<int64_t>(col[static_cast<size_t>(e)]) * d;
+        float s = 0.0f;
+        for (int64_t c = 0; c < d; ++c) s += gi[c] * v[c];
+        galpha[static_cast<size_t>(e - begin)] = s;
+        dot += static_cast<double>(s) * a[e - begin];
+      }
+      for (int64_t e = begin; e < end; ++e) {
+        const int32_t j = col[static_cast<size_t>(e)];
+        const float z = ps[i] + pd[j];
+        const float dz = a[e - begin] *
+                         (galpha[static_cast<size_t>(e - begin)] -
+                          static_cast<float>(dot)) *
+                         (z > 0.0f ? 1.0f : negative_slope);
+        if (gs != nullptr) gs[i] += dz;
+        if (gd != nullptr) gd[j] += dz;
+      }
+    }
+  };
+  return MakeOp({n, d}, std::move(out), {src, dst, values}, std::move(backward),
+                "edge_softmax_aggregate");
 }
 
 Tensor EmbeddingGather(const Tensor& weight, const std::vector<int64_t>& indices) {

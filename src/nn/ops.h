@@ -106,6 +106,35 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 Tensor Dropout(const Tensor& a, float p, common::Rng& rng, bool training);
 
 // ---------------------------------------------------------------------------
+// Sparse graph attention.
+// ---------------------------------------------------------------------------
+
+/// Per-node neighbour lists in compressed sparse row form: node i's
+/// neighbours are col[row_ptr[i] .. row_ptr[i + 1]).
+struct NeighborLists {
+  std::vector<int64_t> row_ptr{0};  ///< [num_nodes + 1], row_ptr[0] == 0
+  std::vector<int32_t> col;         ///< [num_entries] neighbour indices
+
+  int64_t num_nodes() const { return static_cast<int64_t>(row_ptr.size()) - 1; }
+  int64_t num_entries() const { return static_cast<int64_t>(col.size()); }
+};
+
+/// GAT edge-softmax attention over neighbour lists, one edge type:
+///
+///   e_ij  = LeakyReLU(src[i] + dst[j])     for j in N(i)
+///   a_ij  = softmax of e_i. over N(i)      (nn::Softmax's formula)
+///   out_i = sum_{j in N(i)} a_ij * values_j
+///
+/// src, dst: [n]; values: [n, d]; returns [n, d]. A node without neighbours
+/// gets a zero row. Costs O(entries * d) instead of the O(n^2 * d) of a
+/// masked dense softmax; the attention weights equal the dense ones bit for
+/// bit when each row is sorted by ascending neighbour index, because the
+/// masked entries there contribute exact zeros.
+Tensor EdgeSoftmaxAggregate(const Tensor& src, const Tensor& dst,
+                            const Tensor& values, const NeighborLists& neighbors,
+                            float negative_slope = 0.2f);
+
+// ---------------------------------------------------------------------------
 // Embedding / gather.
 // ---------------------------------------------------------------------------
 

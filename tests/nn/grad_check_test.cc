@@ -213,6 +213,22 @@ TEST(GradCheckTest, MaxPool) {
   });
 }
 
+TEST(GradCheckTest, EdgeSoftmaxAggregate) {
+  // Node 0 has two neighbours, node 1 a self-loop plus one, node 2 one,
+  // node 3 none. Logits src_i + dst_j sit at least 0.1 from LeakyReLU's
+  // kink, on both sides of it.
+  Tensor src = Tensor::FromVector({4}, {0.5f, -0.9f, 0.3f, 0.2f}, true);
+  Tensor dst = Tensor::FromVector({4}, {-0.2f, 0.7f, -1.1f, 0.4f}, true);
+  Tensor values = RandomInput({4, 3}, 39);
+  NeighborLists lists;
+  lists.row_ptr = {0, 2, 4, 5, 5};
+  lists.col = {1, 2, 0, 1, 0};
+  CheckGradients({src, dst, values}, [&] {
+    Tensor y = EdgeSoftmaxAggregate(src, dst, values, lists, 0.2f);
+    return SumAll(Mul(y, y));
+  });
+}
+
 TEST(GradCheckTest, DeepCompositeExpression) {
   // A miniature end-to-end graph mixing many op kinds.
   Tensor x = RandomInput({3, 4}, 36);
