@@ -271,6 +271,39 @@ nn::Tensor DenseQrpEncode(const graph::QrpGraph& graph,
   return h;
 }
 
+/// The op chain nn::Affine replaced under nn::Linear: MatMul against a
+/// transposed weight copy, then a broadcast bias add.
+nn::Tensor LinearChain(const nn::Tensor& x, const nn::Tensor& w,
+                       const nn::Tensor& b) {
+  return nn::Add(nn::MatMul(x, nn::Transpose(w)), b);
+}
+
+/// The op chain nn::SegmentAttention replaced: per segment, sliced q/k/v,
+/// MatMul(q, Transpose(k)) scaled, a causal mask tensor added, Softmax,
+/// MatMul with v; the segments concatenated again.
+nn::Tensor AttentionChain(const nn::Tensor& q, const nn::Tensor& k,
+                          const nn::Tensor& v,
+                          const std::vector<int64_t>& offsets) {
+  const float scale = 1.0f / std::sqrt(static_cast<float>(q.dim(1)));
+  std::vector<nn::Tensor> parts;
+  for (size_t b = 0; b + 1 < offsets.size(); ++b) {
+    const int64_t len = offsets[b + 1] - offsets[b];
+    nn::Tensor qs = nn::SliceRows(q, offsets[b], len);
+    nn::Tensor ks = nn::SliceRows(k, offsets[b], len);
+    nn::Tensor vs = nn::SliceRows(v, offsets[b], len);
+    nn::Tensor scores = nn::MulScalar(nn::MatMul(qs, nn::Transpose(ks)), scale);
+    std::vector<float> mask(static_cast<size_t>(len * len), 0.0f);
+    for (int64_t i = 0; i < len; ++i) {
+      for (int64_t j = i + 1; j < len; ++j) {
+        mask[static_cast<size_t>(i * len + j)] = -1e9f;
+      }
+    }
+    scores = nn::Add(scores, nn::Tensor::FromVector({len, len}, std::move(mask)));
+    parts.push_back(nn::MatMul(nn::Softmax(scores), vs));
+  }
+  return nn::ConcatRows(parts);
+}
+
 }  // namespace seedref
 
 /// A QR-P graph the size the NYC-sim serving workload sees (about 80 nodes,
@@ -488,6 +521,73 @@ int main() {
     cases.push_back({"qrp_encode_train_80",
                      [train_step, dense] { train_step(dense); },
                      [train_step, library] { train_step(library); }});
+  }
+
+  // The fusion modules' layers at wire batch-32 scale (870 packed rows,
+  // dm 32): a Linear projection, and causal self-attention over 32
+  // segments of 15..45 rows. Seed: the op chains they replaced (MatMul
+  // over transposed copies, per-segment slices, a mask tensor); now: one
+  // nn::Affine node on the small-K kernel and one nn::SegmentAttention
+  // node. Inference and a training step (forward + backward) each.
+  {
+    const int64_t rows = 870, dm = 32;
+    auto layer = std::make_shared<const nn::Linear>(dm, dm, rng);
+    const Tensor x = Tensor::RandomUniform({rows, dm}, 1.0f, rng, true);
+    auto zero_grads = [layer, x] {
+      for (Tensor p : layer->Parameters()) p.ZeroGrad();
+      Tensor(x).ZeroGrad();
+    };
+    cases.push_back({"linear_fwd_870x32",
+                     [layer, x] {
+                       nn::NoGradGuard guard;
+                       seedref::LinearChain(x, layer->weight(), layer->bias());
+                     },
+                     [layer, x] {
+                       nn::NoGradGuard guard;
+                       layer->Forward(x);
+                     }});
+    cases.push_back({"linear_train_870x32",
+                     [layer, x, zero_grads] {
+                       nn::SumAll(seedref::LinearChain(x, layer->weight(),
+                                                       layer->bias()))
+                           .Backward();
+                       zero_grads();
+                     },
+                     [layer, x, zero_grads] {
+                       nn::SumAll(layer->Forward(x)).Backward();
+                       zero_grads();
+                     }});
+
+    std::vector<int64_t> offsets = {0};
+    for (int64_t b = 0; b < 32; ++b) {
+      offsets.push_back(offsets.back() + 15 + (b % 5) * 6);
+    }
+    offsets.back() = rows;  // the last segment takes the remainder (45 rows)
+    const Tensor q = Tensor::RandomUniform({rows, dm}, 1.0f, rng, true);
+    const Tensor k = Tensor::RandomUniform({rows, dm}, 1.0f, rng, true);
+    const Tensor v = Tensor::RandomUniform({rows, dm}, 1.0f, rng, true);
+    auto chain = [q, k, v, offsets] {
+      return seedref::AttentionChain(q, k, v, offsets);
+    };
+    auto fused = [q, k, v, offsets] {
+      return nn::SegmentAttention(q, k, v, offsets, offsets, /*causal=*/true);
+    };
+    auto train_step = [q, k, v](const std::function<Tensor()>& fn) {
+      nn::SumAll(fn()).Backward();
+      for (Tensor t : {q, k, v}) t.ZeroGrad();
+    };
+    cases.push_back({"segment_attention_32seg",
+                     [chain] {
+                       nn::NoGradGuard guard;
+                       chain();
+                     },
+                     [fused] {
+                       nn::NoGradGuard guard;
+                       fused();
+                     }});
+    cases.push_back({"segment_attention_train_32seg",
+                     [train_step, chain] { train_step(chain); },
+                     [train_step, fused] { train_step(fused); }});
   }
 
   bench::JsonReporter reporter("micro_ops");

@@ -18,24 +18,20 @@ class AttentionBlock : public nn::Module {
  public:
   AttentionBlock(int64_t dm, common::Rng& rng);
 
-  /// sequence: [L, dm]; history: [H, dm] (H >= 1). Returns [L, dm].
-  nn::Tensor Forward(const nn::Tensor& sequence, const nn::Tensor& history,
-                     common::Rng& rng, float dropout) const;
-
-  /// Packed-batch inference forward. `sequence` holds B variable-length
-  /// segments concatenated row-wise ([total, dm], boundaries in `offsets`,
-  /// size B+1); `history` likewise ([total_h, dm], `hist_offsets`). The
-  /// projections, norms and feed-forward run as single GEMMs over the whole
-  /// pack; only the softmax(QK^T)V stage runs per segment (attention must
-  /// not cross sequence boundaries). Every row of the result is bitwise
-  /// identical to Forward() on the corresponding segment: each packed op is
-  /// row-wise with a per-row accumulation order independent of the number
-  /// of rows. Inference-only: requires !training() (no dropout). Returns
-  /// [total, dm].
-  nn::Tensor ForwardPacked(const nn::Tensor& sequence,
-                           const std::vector<int64_t>& offsets,
-                           const nn::Tensor& history,
-                           const std::vector<int64_t>& hist_offsets) const;
+  /// Forward over B segments packed row-wise. `sequence` holds the B
+  /// prefix sequences ([total, dm], segment b in rows [offsets[b],
+  /// offsets[b + 1])); `history` holds each segment's historical knowledge
+  /// likewise ([total_h, dm], `hist_offsets`, every segment non-empty).
+  /// Projections, norms and the feed-forward run once over the whole pack;
+  /// attention stays inside each segment (nn::SegmentAttention). Every op
+  /// is row-wise or per segment with a fixed accumulation order, so a
+  /// segment's rows are bitwise the same alone or in any pack. Dropout
+  /// applies when training. Returns [total, dm].
+  nn::Tensor Forward(const nn::Tensor& sequence,
+                     const std::vector<int64_t>& offsets,
+                     const nn::Tensor& history,
+                     const std::vector<int64_t>& hist_offsets, common::Rng& rng,
+                     float dropout) const;
 
  private:
   std::unique_ptr<nn::Attention> self_attention_;
@@ -53,18 +49,14 @@ class FusionModule : public nn::Module {
  public:
   FusionModule(const TspnRaConfig& config, common::Rng& rng);
 
-  /// Returns h_out = H_out[-1]: [dm].
-  nn::Tensor Forward(const nn::Tensor& sequence, const nn::Tensor& history,
+  /// Runs the blocks over B packed segments (see AttentionBlock::Forward
+  /// for the packing contract) and returns h_out, the last position of each
+  /// segment after the final block: [B, dm].
+  nn::Tensor Forward(const nn::Tensor& sequence,
+                     const std::vector<int64_t>& offsets,
+                     const nn::Tensor& history,
+                     const std::vector<int64_t>& hist_offsets,
                      common::Rng& rng) const;
-
-  /// Packed-batch inference forward over B concatenated segments (see
-  /// AttentionBlock::ForwardPacked for the packing contract). Returns
-  /// [B, dm]: row b is the last position of segment b after the final
-  /// block, bitwise identical to Forward() on that segment alone.
-  nn::Tensor ForwardPacked(const nn::Tensor& sequence,
-                           const std::vector<int64_t>& offsets,
-                           const nn::Tensor& history,
-                           const std::vector<int64_t>& hist_offsets) const;
 
  private:
   const TspnRaConfig config_;

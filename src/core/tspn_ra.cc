@@ -291,33 +291,9 @@ nn::Tensor TspnRa::ComputeTileEmbeddings() const {
 
 TspnRa::ForwardOut TspnRa::Forward(const Features& f, const nn::Tensor& et,
                                    common::Rng& rng) const {
-  TSPN_CHECK(!f.poi_ids.empty());
-  // --- Tile sequence embedding (Sec. IV-A) ----------------------------------
-  nn::Tensor tile_seq = nn::EmbeddingGather(et, f.tile_rows);
-  if (config_.use_st_encoder) {
-    std::vector<nn::Tensor> locs;
-    locs.reserve(f.norm_x.size());
-    for (size_t i = 0; i < f.norm_x.size(); ++i) {
-      locs.push_back(SpatialEncoding(f.norm_x[i], f.norm_y[i], config_.dm,
-                                     config_.spatial_scale));
-    }
-    // The raw sinusoidal encoding has norm sqrt(dm/2); rescale to unit norm
-    // so it augments rather than drowns the unit-norm tile embeddings.
-    float loc_scale = std::sqrt(2.0f / static_cast<float>(config_.dm));
-    tile_seq = nn::Add(tile_seq, nn::MulScalar(nn::StackRows(locs), loc_scale));
-    tile_seq = nn::Add(tile_seq, net_->temporal.SlotEmbeddings(f.time_slots));
-  }
-  // --- POI sequence embedding (Sec. IV-B) -----------------------------------
-  nn::Tensor poi_seq = net_->poi_encoder.Encode(f.poi_ids, f.poi_cats);
-  if (config_.use_st_encoder) {
-    poi_seq = nn::Add(poi_seq, net_->temporal.SlotEmbeddings(f.time_slots));
-  }
-  // --- Historical graph knowledge (Sec. IV-C) --------------------------------
-  HistoryPack history = EncodeHistories(common::Span<Features>(&f, 1), et);
-  // --- Attention fusion (Sec. V-A) -------------------------------------------
-  ForwardOut out;
-  out.h_tile = net_->mp1.Forward(tile_seq, history.tile, rng);
-  out.h_poi = net_->mp2.Forward(poi_seq, history.poi, rng);
+  ForwardOut out = ForwardBatch(common::Span<Features>(&f, 1), et, rng);
+  out.h_tile = nn::Reshape(out.h_tile, {config_.dm});
+  out.h_poi = nn::Reshape(out.h_poi, {config_.dm});
   return out;
 }
 
@@ -381,8 +357,9 @@ TspnRa::HistoryPack TspnRa::EncodeHistories(common::Span<Features> features,
   return out;
 }
 
-TspnRa::BatchForwardOut TspnRa::ForwardBatch(
-    const std::vector<Features>& features, const nn::Tensor& et) const {
+TspnRa::ForwardOut TspnRa::ForwardBatch(common::Span<Features> features,
+                                        const nn::Tensor& et,
+                                        common::Rng& rng) const {
   TSPN_CHECK(!features.empty());
   const size_t batch = features.size();
   // Concatenate every sample's prefix sequence row-wise; `offsets` keeps the
@@ -414,6 +391,8 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(
       locs.push_back(SpatialEncoding(all_x[i], all_y[i], config_.dm,
                                      config_.spatial_scale));
     }
+    // The raw sinusoidal encoding has norm sqrt(dm/2); rescale to unit norm
+    // so it augments rather than drowns the unit-norm tile embeddings.
     float loc_scale = std::sqrt(2.0f / static_cast<float>(config_.dm));
     tile_seq = nn::Add(tile_seq, nn::MulScalar(nn::StackRows(locs), loc_scale));
     tile_seq = nn::Add(tile_seq, net_->temporal.SlotEmbeddings(all_slots));
@@ -427,12 +406,12 @@ TspnRa::BatchForwardOut TspnRa::ForwardBatch(
   // the fusion stage.
   HistoryPack history = EncodeHistories(features, et);
   // Attention fusion (Sec. V-A) over the pack: projections, norms and
-  // feed-forward as single GEMMs, per-segment softmax inside.
-  BatchForwardOut out;
-  out.h_tile = net_->mp1.ForwardPacked(tile_seq, offsets, history.tile,
-                                       history.tile_offsets);
-  out.h_poi = net_->mp2.ForwardPacked(poi_seq, offsets, history.poi,
-                                      history.poi_offsets);
+  // feed-forward as single GEMMs, one segment-attention node per layer.
+  ForwardOut out;
+  out.h_tile = net_->mp1.Forward(tile_seq, offsets, history.tile,
+                                 history.tile_offsets, rng);
+  out.h_poi = net_->mp2.Forward(poi_seq, offsets, history.poi,
+                                history.poi_offsets, rng);
   return out;
 }
 
@@ -737,7 +716,8 @@ bool TspnRa::BuildQuantCachesLocked() const {
   for (const data::SampleRef& sample : probes) {
     features.push_back(ExtractFeatures(sample));
   }
-  BatchForwardOut fwd = ForwardBatch(features, et_cache_);
+  common::Rng rng(config_.seed ^ 0xD00DULL);  // dropout is off: never drawn
+  ForwardOut fwd = ForwardBatch(features, et_cache_, rng);
   nn::Tensor ht = nn::L2Normalize(fwd.h_tile);
   nn::Tensor hp = nn::L2Normalize(fwd.h_poi);
 
@@ -1091,9 +1071,9 @@ std::vector<eval::RecommendResponse> TspnRa::RecommendBatchImpl(
   // One batched encoder forward for the whole coalesced batch: the B query
   // sequences ride a single packed [total_len, dm] tensor through the
   // projections, norms, feed-forwards and the history graphs' QR-P encode
-  // (one disjoint union), with only softmax(QK^T)V handled per segment
-  // (inside ForwardBatch). Every packed op computes rows independently with
-  // the serial accumulation order, so the [batch, dm] outputs here are
+  // (one disjoint union), with attention kept inside each segment (inside
+  // ForwardBatch). Every packed op computes rows independently with a fixed
+  // accumulation order, so the [batch, dm] outputs here are
   // bitwise-identical to B serial Forward() calls.
   std::vector<float> h_tiles(static_cast<size_t>(batch * dm));
   std::vector<float> h_pois(static_cast<size_t>(batch * dm));
@@ -1105,7 +1085,8 @@ std::vector<eval::RecommendResponse> TspnRa::RecommendBatchImpl(
     for (const eval::RecommendRequest& request : requests) {
       features.push_back(ExtractFeatures(request.sample));
     }
-    BatchForwardOut fwd = ForwardBatch(features, et_cache_);
+    common::Rng rng(config_.seed ^ 0xD00DULL);  // dropout is off: never drawn
+    ForwardOut fwd = ForwardBatch(features, et_cache_, rng);
     nn::Tensor ht = nn::L2Normalize(fwd.h_tile);
     nn::Tensor hp = nn::L2Normalize(fwd.h_poi);
     std::copy_n(ht.data(), batch * dm, h_tiles.data());

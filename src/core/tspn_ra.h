@@ -161,11 +161,25 @@ class TspnRa : public eval::NextPoiModel {
   /// autograd graph during training.
   nn::Tensor ComputeTileEmbeddings() const;
 
-  /// Forward pass producing (h_out_tau, h_out_p) for a sample.
+  /// Forward pass producing (h_out_tau, h_out_p): [B, dm] from
+  /// ForwardBatch(), [dm] from Forward().
   struct ForwardOut {
     nn::Tensor h_tile;
     nn::Tensor h_poi;
   };
+
+  /// The one encoder forward, over a pack of samples: the tile/POI
+  /// sequences are concatenated row-wise and run through the embedding
+  /// gathers, spatial/temporal encoders, the packed history-graph encode
+  /// and the fusion modules as whole-pack tensors (per sample only where
+  /// structure forces it: attention stays inside each sequence). Row b of
+  /// the result is bitwise identical to a pack holding sample b alone.
+  /// Differentiable; dropout draws from `rng` when training.
+  ForwardOut ForwardBatch(common::Span<Features> features, const nn::Tensor& et,
+                          common::Rng& rng) const;
+
+  /// One sample (serial inference and training): ForwardBatch() over a
+  /// batch of one, rows returned as [dm].
   ForwardOut Forward(const Features& features, const nn::Tensor& et,
                      common::Rng& rng) const;
 
@@ -178,24 +192,9 @@ class TspnRa : public eval::NextPoiModel {
   };
   /// Runs every sample's non-empty history graph through one packed QR-P
   /// encode (initial embeddings gathered once); samples without one get
-  /// the learned null-history rows. Forward() calls it with one sample,
-  /// ForwardBatch() with the whole batch.
+  /// the learned null-history rows. Called by ForwardBatch().
   HistoryPack EncodeHistories(common::Span<Features> features,
                               const nn::Tensor& et) const;
-
-  /// Batched inference forward: one packed encoder pass over all samples.
-  /// The tile/POI sequences are concatenated row-wise and run through the
-  /// embedding gathers, spatial/temporal encoders, the packed history-graph
-  /// encode and the fusion modules as whole-pack tensors (per-sample only
-  /// where structure forces it: the within-sequence attention softmax).
-  /// Returns [B, dm] h_tile / h_poi matrices whose rows are bitwise
-  /// identical to Forward() on each sample. Inference-only.
-  struct BatchForwardOut {
-    nn::Tensor h_tile;  // [B, dm]
-    nn::Tensor h_poi;   // [B, dm]
-  };
-  BatchForwardOut ForwardBatch(const std::vector<Features>& features,
-                               const nn::Tensor& et) const;
 
   /// Seed-style per-query encoder loop writing L2-normalized fused outputs
   /// into row-major [batch, dm] buffers. A/B reference for ForwardBatch

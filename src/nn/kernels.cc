@@ -224,6 +224,34 @@ int NumThreads() {
   return threads;
 }
 
+namespace {
+
+/// Runs range_fn(begin, end) over [0, rows), split across NumThreads()
+/// std::thread workers when the product is large enough to pay for them.
+/// Chunks are rounded up to `align` rows so only the last worker runs a
+/// partial register tile.
+template <typename RangeFn>
+void ForRowRanges(int64_t rows, int64_t flops, int64_t align, RangeFn range_fn) {
+  int threads = NumThreads();
+  if (threads > 1) {
+    threads = static_cast<int>(std::min<int64_t>(
+        threads, std::max<int64_t>(1, flops / kMinFlopsPerThread)));
+  }
+  if (threads <= 1) {
+    range_fn(int64_t{0}, rows);
+    return;
+  }
+  const int64_t chunk = ((rows + threads - 1) / threads + align - 1) / align * align;
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<size_t>(threads));
+  for (int64_t begin = 0; begin < rows; begin += chunk) {
+    workers.emplace_back(range_fn, begin, std::min(begin + chunk, rows));
+  }
+  for (std::thread& t : workers) t.join();
+}
+
+}  // namespace
+
 void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
                     int64_t q_rows, int64_t r_len, bool accumulate) {
   if (p_rows <= 0 || q_rows <= 0) return;
@@ -231,27 +259,123 @@ void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
     if (!accumulate) std::fill(c, c + p_rows * q_rows, 0.0f);
     return;
   }
-  const int64_t flops = p_rows * q_rows * r_len;
-  int threads = NumThreads();
-  if (threads > 1) {
-    threads = static_cast<int>(std::min<int64_t>(
-        threads, std::max<int64_t>(1, flops / kMinFlopsPerThread)));
+  ForRowRanges(p_rows, p_rows * q_rows * r_len, 4,
+               [=](int64_t begin, int64_t end) {
+                 DotProductGemmRange(y, z, c, begin, end, q_rows, r_len,
+                                     accumulate);
+               });
+}
+
+namespace {
+
+#ifdef TSPN_KERNELS_AVX2
+
+/// Lane mask selecting the first `count` (1..7) floats of an 8-wide vector.
+inline __m256i TailMask(int64_t count) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// A kRows x (8 * kVecs) tile of C = Y * B: y points at the tile's first
+/// row of Y, b and c at its first column of B and C. Per r, row r of B is
+/// loaded once and each Y[i, r] is broadcast against it. With kMasked the
+/// last vector covers only the lanes set in `mask`.
+template <int kRows, int kVecs, bool kMasked>
+inline void ChainTile(const float* y, int64_t k, const float* b, int64_t n,
+                      float* c, bool accumulate, __m256i mask) {
+  __m256 acc[kRows][kVecs];
+  for (int i = 0; i < kRows; ++i) {
+    for (int v = 0; v < kVecs; ++v) acc[i][v] = _mm256_setzero_ps();
   }
-  if (threads <= 1) {
-    DotProductGemmRange(y, z, c, 0, p_rows, q_rows, r_len, accumulate);
-    return;
+  for (int64_t r = 0; r < k; ++r) {
+    const float* br = b + r * n;
+    __m256 bv[kVecs];
+    for (int v = 0; v < kVecs; ++v) {
+      bv[v] = kMasked && v == kVecs - 1 ? _mm256_maskload_ps(br + 8 * v, mask)
+                                        : _mm256_loadu_ps(br + 8 * v);
+    }
+    for (int i = 0; i < kRows; ++i) {
+      const __m256 yv = _mm256_broadcast_ss(y + i * k + r);
+      for (int v = 0; v < kVecs; ++v) {
+        acc[i][v] = _mm256_fmadd_ps(yv, bv[v], acc[i][v]);
+      }
+    }
   }
-  // Row-parallel split; chunks rounded to the 4-row tile so only the last
-  // worker runs tail rows.
-  const int64_t chunk = ((p_rows + threads - 1) / threads + 3) / 4 * 4;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(threads));
-  for (int64_t begin = 0; begin < p_rows; begin += chunk) {
-    const int64_t end = std::min(begin + chunk, p_rows);
-    workers.emplace_back(DotProductGemmRange, y, z, c, begin, end, q_rows,
-                         r_len, accumulate);
+  for (int i = 0; i < kRows; ++i) {
+    float* ci = c + i * n;
+    for (int v = 0; v < kVecs; ++v) {
+      if (kMasked && v == kVecs - 1) {
+        __m256 out = acc[i][v];
+        if (accumulate) out = _mm256_add_ps(_mm256_maskload_ps(ci + 8 * v, mask), out);
+        _mm256_maskstore_ps(ci + 8 * v, mask, out);
+      } else {
+        __m256 out = acc[i][v];
+        if (accumulate) out = _mm256_add_ps(_mm256_loadu_ps(ci + 8 * v), out);
+        _mm256_storeu_ps(ci + 8 * v, out);
+      }
+    }
   }
-  for (std::thread& t : workers) t.join();
+}
+
+/// kRows rows of C across all n columns: 32-wide tiles, then 8-wide ones,
+/// then one masked vector for the last n % 8 columns.
+template <int kRows>
+inline void ChainRows(const float* y, const float* b, float* c, int64_t n,
+                      int64_t k, bool accumulate) {
+  const __m256i none = _mm256_setzero_si256();
+  int64_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    ChainTile<kRows, 4, false>(y, k, b + j, n, c + j, accumulate, none);
+  }
+  for (; j + 8 <= n; j += 8) {
+    ChainTile<kRows, 1, false>(y, k, b + j, n, c + j, accumulate, none);
+  }
+  if (j < n) {
+    ChainTile<kRows, 1, true>(y, k, b + j, n, c + j, accumulate,
+                              TailMask(n - j));
+  }
+}
+
+void SmallKGemmRange(const float* y, const float* b, float* c, int64_t begin,
+                     int64_t end, int64_t n, int64_t k, bool accumulate) {
+  int64_t i = begin;
+  for (; i + 4 <= end; i += 4) {
+    ChainRows<4>(y + i * k, b, c + i * n, n, k, accumulate);
+  }
+  for (; i < end; ++i) ChainRows<1>(y + i * k, b, c + i * n, n, k, accumulate);
+}
+
+#else  // portable fallback: the same per-output chain, one row at a time
+
+void SmallKGemmRange(const float* y, const float* b, float* c, int64_t begin,
+                     int64_t end, int64_t n, int64_t k, bool accumulate) {
+  std::vector<float> acc(static_cast<size_t>(n));
+  for (int64_t i = begin; i < end; ++i) {
+    std::fill(acc.begin(), acc.end(), 0.0f);
+    for (int64_t r = 0; r < k; ++r) {
+      const float yv = y[i * k + r];
+      const float* br = b + r * n;
+      for (int64_t j = 0; j < n; ++j) acc[static_cast<size_t>(j)] += yv * br[j];
+    }
+    float* ci = c + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      ci[j] = accumulate ? ci[j] + acc[static_cast<size_t>(j)]
+                         : acc[static_cast<size_t>(j)];
+    }
+  }
+}
+
+#endif  // TSPN_KERNELS_AVX2
+
+}  // namespace
+
+void SmallKGemm(const float* y, const float* b, float* c, int64_t m, int64_t n,
+                int64_t k, bool accumulate) {
+  if (m <= 0 || n <= 0) return;
+  ForRowRanges(m, m * n * std::max<int64_t>(k, 1), 4,
+               [=](int64_t begin, int64_t end) {
+                 SmallKGemmRange(y, b, c, begin, end, n, k, accumulate);
+               });
 }
 
 void QuantizeRowsInt8(const float* src, int64_t rows, int64_t cols,
@@ -344,25 +468,11 @@ void Int8ScoreGemm(const int8_t* y, const float* y_scales, const int8_t* z,
     std::fill(c, c + p_rows * q_rows, 0.0f);
     return;
   }
-  const int64_t flops = p_rows * q_rows * r_len;
-  int threads = NumThreads();
-  if (threads > 1) {
-    threads = static_cast<int>(std::min<int64_t>(
-        threads, std::max<int64_t>(1, flops / kMinFlopsPerThread)));
-  }
-  if (threads <= 1) {
-    Int8ScoreGemmRange(y, y_scales, z, z_scales, c, 0, p_rows, q_rows, r_len);
-    return;
-  }
-  const int64_t chunk = (p_rows + threads - 1) / threads;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(threads));
-  for (int64_t begin = 0; begin < p_rows; begin += chunk) {
-    const int64_t end = std::min(begin + chunk, p_rows);
-    workers.emplace_back(Int8ScoreGemmRange, y, y_scales, z, z_scales, c,
-                         begin, end, q_rows, r_len);
-  }
-  for (std::thread& t : workers) t.join();
+  ForRowRanges(p_rows, p_rows * q_rows * r_len, 1,
+               [=](int64_t begin, int64_t end) {
+                 Int8ScoreGemmRange(y, y_scales, z, z_scales, c, begin, end,
+                                    q_rows, r_len);
+               });
 }
 
 namespace {

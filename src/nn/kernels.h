@@ -28,6 +28,25 @@ int NumThreads();
 void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
                     int64_t q_rows, int64_t r_len, bool accumulate);
 
+/// The small-K kernel behind nn::Linear and the attention weights * V stage:
+///
+///   C[i, j] (+)= sum_r Y[i, r] * B[r, j]       i.e.  C = Y * B
+///
+/// with Y [m, k], B [k, n] and C [m, n], all row-major and dense. Each
+/// output is one multiply-add chain over r = 0 .. k-1, left to right,
+/// starting from zero (fused multiply-adds when compiled with FMA); in
+/// accumulate mode the finished chain is then added to C. A 4-row x
+/// 32-column register tile broadcasts Y[i, r] against row r of B, so no
+/// output pays a horizontal sum and the reduction length needs no tail.
+/// Narrower column tails run in 8-wide vectors and one masked vector.
+///
+/// Because every output follows the same chain whatever tile computes it,
+/// each row of C is bitwise independent of m and of the row's position:
+/// computing a row alone or inside any larger Y gives the same bits. Rows
+/// are split across TSPN_NUM_THREADS workers like DotProductGemm.
+void SmallKGemm(const float* y, const float* b, float* c, int64_t m, int64_t n,
+                int64_t k, bool accumulate);
+
 /// Row-major transpose into a fresh buffer: src [rows, cols] -> [cols, rows].
 /// O(rows*cols); used to feed DotProductGemm operands that are needed
 /// column-major (B in the forward pass, A and dOut in the dB pass).

@@ -45,8 +45,7 @@ float XavierBound(int64_t fan_in, int64_t fan_out) {
 }  // namespace
 
 Linear::Linear(int64_t in_features, int64_t out_features, common::Rng& rng,
-               bool with_bias)
-    : in_features_(in_features), out_features_(out_features) {
+               bool with_bias) {
   weight_ = RegisterParameter(Tensor::RandomUniform(
       {out_features, in_features}, XavierBound(in_features, out_features), rng,
       /*requires_grad=*/true));
@@ -56,12 +55,7 @@ Linear::Linear(int64_t in_features, int64_t out_features, common::Rng& rng,
 }
 
 Tensor Linear::Forward(const Tensor& x) const {
-  bool vector_input = x.rank() == 1;
-  Tensor x2 = vector_input ? Reshape(x, {1, in_features_}) : x;
-  TSPN_CHECK_EQ(x2.dim(1), in_features_);
-  Tensor y = MatMul(x2, Transpose(weight_));
-  if (bias_.defined()) y = Add(y, bias_);
-  return vector_input ? Reshape(y, {out_features_}) : y;
+  return Affine(x, weight_, bias_);
 }
 
 Embedding::Embedding(int64_t vocab_size, int64_t dim, common::Rng& rng) {
@@ -109,31 +103,19 @@ Tensor Attention::Forward(const Tensor& query_in, const Tensor& key_value_in,
                           bool causal) const {
   TSPN_CHECK_EQ(query_in.rank(), 2);
   TSPN_CHECK_EQ(key_value_in.rank(), 2);
-  return ForwardProjected(wq_.Forward(query_in), wk_.Forward(key_value_in),
-                          wv_.Forward(key_value_in), causal);
+  return Forward(query_in, {0, query_in.dim(0)}, key_value_in,
+                 {0, key_value_in.dim(0)}, causal);
 }
 
-Tensor Attention::ForwardProjected(const Tensor& q, const Tensor& k,
-                                   const Tensor& v, bool causal) const {
-  TSPN_CHECK_EQ(q.rank(), 2);
-  TSPN_CHECK_EQ(k.rank(), 2);
-  TSPN_CHECK_EQ(v.rank(), 2);
-  Tensor scores = MulScalar(MatMul(q, Transpose(k)),
-                            1.0f / std::sqrt(static_cast<float>(dim_)));
-  if (causal) {
-    int64_t lq = q.dim(0);
-    int64_t lk = k.dim(0);
-    TSPN_CHECK_EQ(lq, lk) << "causal attention needs square score matrix";
-    std::vector<float> mask(static_cast<size_t>(lq * lk), 0.0f);
-    for (int64_t i = 0; i < lq; ++i) {
-      for (int64_t j = i + 1; j < lk; ++j) {
-        mask[static_cast<size_t>(i * lk + j)] = -1e9f;
-      }
-    }
-    scores = Add(scores, Tensor::FromVector({lq, lk}, std::move(mask)));
-  }
-  Tensor weights = Softmax(scores);
-  return MatMul(weights, v);
+Tensor Attention::Forward(const Tensor& query_in,
+                          const std::vector<int64_t>& q_offsets,
+                          const Tensor& key_value_in,
+                          const std::vector<int64_t>& kv_offsets,
+                          bool causal) const {
+  TSPN_CHECK_EQ(query_in.dim(1), dim_);
+  return SegmentAttention(wq_.Forward(query_in), wk_.Forward(key_value_in),
+                          wv_.Forward(key_value_in), q_offsets, kv_offsets,
+                          causal);
 }
 
 }  // namespace tspn::nn

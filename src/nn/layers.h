@@ -41,7 +41,7 @@ class Module {
   bool training_ = true;
 };
 
-/// Affine layer: y = x W^T + b, x is [N, in] or [in].
+/// Affine layer: y = x W^T + b, x is [N, in] or [in]; one nn::Affine node.
 class Linear : public Module {
  public:
   Linear(int64_t in_features, int64_t out_features, common::Rng& rng,
@@ -53,8 +53,6 @@ class Linear : public Module {
   const Tensor& bias() const { return bias_; }
 
  private:
-  int64_t in_features_;
-  int64_t out_features_;
   Tensor weight_;  // [out, in]
   Tensor bias_;    // [out] (undefined when with_bias=false)
 };
@@ -110,22 +108,17 @@ class Attention : public Module {
   Attention(int64_t dim, common::Rng& rng);
 
   /// query_in: [Lq, D]; key_value_in: [Lk, D]. If `causal` is true, position
-  /// i may attend only to positions <= i (requires Lq == Lk).
+  /// i may attend only to positions <= i (requires Lq == Lk). A pack of one
+  /// segment.
   Tensor Forward(const Tensor& query_in, const Tensor& key_value_in,
                  bool causal = false) const;
 
-  /// The three input projections, exposed separately so a packed-batch
-  /// caller can project many concatenated sequences with one GEMM each and
-  /// then run the per-sequence score/softmax stage via ForwardProjected().
-  Tensor ProjectQuery(const Tensor& x) const { return wq_.Forward(x); }
-  Tensor ProjectKey(const Tensor& x) const { return wk_.Forward(x); }
-  Tensor ProjectValue(const Tensor& x) const { return wv_.Forward(x); }
-
-  /// Attention over already-projected q [Lq, D], k/v [Lk, D]:
-  /// softmax(q k^T / sqrt(d) + mask) v. Forward() delegates here, so both
-  /// entry points share one accumulation order bit for bit.
-  Tensor ForwardProjected(const Tensor& q, const Tensor& k, const Tensor& v,
-                          bool causal) const;
+  /// Packed segments (see nn::SegmentAttention for the offset contract):
+  /// the three projections run once over the whole pack, then one
+  /// SegmentAttention node attends within each segment. Returns [Tq, D].
+  Tensor Forward(const Tensor& query_in, const std::vector<int64_t>& q_offsets,
+                 const Tensor& key_value_in,
+                 const std::vector<int64_t>& kv_offsets, bool causal) const;
 
  private:
   int64_t dim_;

@@ -607,6 +607,55 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   return MakeOp({m, n}, std::move(out), {a, b}, std::move(backward), "matmul");
 }
 
+Tensor Affine(const Tensor& x, const Tensor& weight, const Tensor& bias) {
+  TSPN_CHECK(x.rank() == 1 || x.rank() == 2);
+  TSPN_CHECK_EQ(weight.rank(), 2);
+  const int64_t out_f = weight.dim(0), in_f = weight.dim(1);
+  const int64_t rows = x.rank() == 1 ? 1 : x.dim(0);
+  TSPN_CHECK_EQ(x.rank() == 1 ? x.dim(0) : x.dim(1), in_f) << "affine in_features";
+  const bool has_bias = bias.defined();
+  if (has_bias) {
+    TSPN_CHECK_EQ(bias.numel(), out_f);
+  }
+  // Each row starts from the bias and the kernel adds its x W^T chain.
+  std::vector<float> out(static_cast<size_t>(rows * out_f), 0.0f);
+  if (has_bias) {
+    for (int64_t r = 0; r < rows; ++r) {
+      std::memcpy(out.data() + r * out_f, bias.data(),
+                  static_cast<size_t>(out_f) * sizeof(float));
+    }
+  }
+  const float* wt = kernels::TransposeScratch(weight.data(), out_f, in_f, 0);
+  kernels::SmallKGemm(x.data(), wt, out.data(), rows, out_f, in_f,
+                      /*accumulate=*/has_bias);
+  auto backward = [rows, in_f, out_f](TensorNode& node) {
+    const auto& x_node = node.parents[0];
+    const auto& w_node = node.parents[1];
+    const float* g = node.grad.data();
+    if (float* gx = GradPtr(x_node)) {  // dx = g W, W row-major as stored
+      kernels::SmallKGemm(g, w_node->data.data(), gx, rows, in_f, out_f,
+                          /*accumulate=*/true);
+    }
+    if (float* gw = GradPtr(w_node)) {  // dW = g^T x
+      const float* gt = kernels::TransposeScratch(g, rows, out_f, 0);
+      kernels::SmallKGemm(gt, x_node->data.data(), gw, out_f, in_f, rows,
+                          /*accumulate=*/true);
+    }
+    if (node.parents.size() < 3) return;
+    if (float* gb = GradPtr(node.parents[2])) {  // db = column sums of g
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* gr = g + r * out_f;
+        for (int64_t j = 0; j < out_f; ++j) gb[j] += gr[j];
+      }
+    }
+  };
+  std::vector<Tensor> parents = {x, weight};
+  if (has_bias) parents.push_back(bias);
+  return MakeOp(x.rank() == 1 ? Shape{out_f} : Shape{rows, out_f},
+                std::move(out), std::move(parents), std::move(backward),
+                "affine");
+}
+
 Tensor MatVec(const Tensor& a, const Tensor& v) {
   TSPN_CHECK_EQ(a.rank(), 2);
   TSPN_CHECK_EQ(v.rank(), 1);
@@ -643,7 +692,8 @@ Tensor SoftmaxImpl(const Tensor& a, bool log_space) {
       y[c] = log_space ? logit : std::exp(logit);
     }
   }
-  std::vector<float> saved = out;
+  std::vector<float> saved;
+  if (NoGradGuard::GradEnabled() && a.requires_grad()) saved = out;
   auto backward = [rows, cols, log_space, saved = std::move(saved)](TensorNode& node) {
     const auto& parent = node.parents[0];
     float* pg = GradPtr(parent);
@@ -911,6 +961,134 @@ Tensor EdgeSoftmaxAggregate(const Tensor& src, const Tensor& dst,
   };
   return MakeOp({n, d}, std::move(out), {src, dst, values}, std::move(backward),
                 "edge_softmax_aggregate");
+}
+
+Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                        const std::vector<int64_t>& q_offsets,
+                        const std::vector<int64_t>& kv_offsets, bool causal) {
+  TSPN_CHECK_EQ(q.rank(), 2);
+  TSPN_CHECK_EQ(k.rank(), 2);
+  TSPN_CHECK_EQ(v.rank(), 2);
+  const int64_t d = q.dim(1), dv = v.dim(1);
+  TSPN_CHECK_EQ(k.dim(1), d);
+  TSPN_CHECK_EQ(v.dim(0), k.dim(0));
+  TSPN_CHECK_GE(q_offsets.size(), 2u);
+  TSPN_CHECK_EQ(q_offsets.size(), kv_offsets.size());
+  TSPN_CHECK_EQ(q_offsets.front(), 0);
+  TSPN_CHECK_EQ(q_offsets.back(), q.dim(0));
+  TSPN_CHECK_EQ(kv_offsets.front(), 0);
+  TSPN_CHECK_EQ(kv_offsets.back(), k.dim(0));
+  const size_t segments = q_offsets.size() - 1;
+  // Segment b's [lq, lk] attention weights start at w_offsets[b].
+  std::vector<int64_t> w_offsets(segments + 1, 0);
+  int64_t max_block = 0;
+  for (size_t b = 0; b < segments; ++b) {
+    const int64_t lq = q_offsets[b + 1] - q_offsets[b];
+    const int64_t lk = kv_offsets[b + 1] - kv_offsets[b];
+    TSPN_CHECK_GE(lq, 0);
+    TSPN_CHECK_GE(lk, 0);
+    if (lq > 0) {
+      TSPN_CHECK_GT(lk, 0) << "segment " << b << " has no keys";
+    }
+    if (causal) {
+      TSPN_CHECK_EQ(lq, lk) << "causal attention needs square segments";
+    }
+    w_offsets[b + 1] = w_offsets[b] + lq * lk;
+    max_block = std::max(max_block, lq * lk);
+  }
+  const bool track = NoGradGuard::GradEnabled() &&
+                     (q.requires_grad() || k.requires_grad() || v.requires_grad());
+  // The backward pass needs every segment's weights; inference reuses one
+  // segment-sized block.
+  std::vector<float> weights(static_cast<size_t>(track ? w_offsets.back() : max_block));
+  std::vector<float> out(static_cast<size_t>(q.dim(0) * dv));
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  const float* pq = q.data();
+  const float* pk = k.data();
+  const float* pv = v.data();
+  for (size_t b = 0; b < segments; ++b) {
+    const int64_t qs = q_offsets[b], lq = q_offsets[b + 1] - qs;
+    const int64_t ks = kv_offsets[b], lk = kv_offsets[b + 1] - ks;
+    if (lq == 0) continue;
+    float* w = weights.data() + (track ? w_offsets[b] : 0);
+    kernels::DotProductGemm(pq + qs * d, pk + ks * d, w, lq, lk, d,
+                            /*accumulate=*/false);
+    for (int64_t i = 0; i < lq; ++i) {
+      float* row = w + i * lk;
+      const int64_t limit = causal ? i + 1 : lk;
+      // SoftmaxImpl's row formula over the scaled, unmasked scores.
+      for (int64_t c = 0; c < limit; ++c) row[c] *= scale;
+      float mx = row[0];
+      for (int64_t c = 1; c < limit; ++c) mx = std::max(mx, row[c]);
+      double denom = 0.0;
+      for (int64_t c = 0; c < limit; ++c) {
+        denom += std::exp(static_cast<double>(row[c] - mx));
+      }
+      const float log_denom = static_cast<float>(std::log(denom));
+      for (int64_t c = 0; c < limit; ++c) row[c] = std::exp(row[c] - mx - log_denom);
+      std::fill(row + limit, row + lk, 0.0f);
+    }
+    kernels::SmallKGemm(w, pv + ks * dv, out.data() + qs * dv, lq, dv, lk,
+                        /*accumulate=*/false);
+  }
+  std::vector<int64_t> saved_q, saved_kv;
+  if (track) {
+    saved_q = q_offsets;
+    saved_kv = kv_offsets;
+  } else {
+    weights.clear();
+  }
+  auto backward = [d, dv, scale, causal, q_offsets = std::move(saved_q),
+                   kv_offsets = std::move(saved_kv),
+                   w_offsets = std::move(w_offsets),
+                   weights = std::move(weights)](TensorNode& node) {
+    float* gq = GradPtr(node.parents[0]);
+    float* gk = GradPtr(node.parents[1]);
+    float* gv = GradPtr(node.parents[2]);
+    const float* pq = node.parents[0]->data.data();
+    const float* pk = node.parents[1]->data.data();
+    const float* pv = node.parents[2]->data.data();
+    const float* g = node.grad.data();
+    std::vector<float> gs;  // one segment's dL/dweights, then dL/dscores
+    for (size_t b = 0; b + 1 < q_offsets.size(); ++b) {
+      const int64_t qs = q_offsets[b], lq = q_offsets[b + 1] - qs;
+      const int64_t ks = kv_offsets[b], lk = kv_offsets[b + 1] - ks;
+      if (lq == 0) continue;
+      const float* w = weights.data() + w_offsets[b];
+      const float* gb = g + qs * dv;
+      if (gv != nullptr) {  // dV = W^T dOut
+        const float* wt = kernels::TransposeScratch(w, lq, lk, 0);
+        kernels::SmallKGemm(wt, gb, gv + ks * dv, lk, dv, lq, /*accumulate=*/true);
+      }
+      if (gq == nullptr && gk == nullptr) continue;
+      gs.resize(static_cast<size_t>(lq * lk));
+      kernels::DotProductGemm(gb, pv + ks * dv, gs.data(), lq, lk, dv,
+                              /*accumulate=*/false);  // dW = dOut V^T
+      for (int64_t i = 0; i < lq; ++i) {
+        // Softmax backward (dz = w * (g - sum(g * w))), then the 1/sqrt(d).
+        const float* wr = w + i * lk;
+        float* gr = gs.data() + i * lk;
+        const int64_t limit = causal ? i + 1 : lk;
+        double dot = 0.0;
+        for (int64_t c = 0; c < limit; ++c) dot += static_cast<double>(gr[c]) * wr[c];
+        for (int64_t c = 0; c < limit; ++c) {
+          gr[c] = wr[c] * (gr[c] - static_cast<float>(dot)) * scale;
+        }
+        std::fill(gr + limit, gr + lk, 0.0f);
+      }
+      if (gq != nullptr) {  // dQ = dS K
+        kernels::SmallKGemm(gs.data(), pk + ks * d, gq + qs * d, lq, d, lk,
+                            /*accumulate=*/true);
+      }
+      if (gk != nullptr) {  // dK = dS^T Q
+        const float* st = kernels::TransposeScratch(gs.data(), lq, lk, 0);
+        kernels::SmallKGemm(st, pq + qs * d, gk + ks * d, lk, d, lq,
+                            /*accumulate=*/true);
+      }
+    }
+  };
+  return MakeOp({q.dim(0), dv}, std::move(out), {q, k, v}, std::move(backward),
+                "segment_attention");
 }
 
 Tensor EmbeddingGather(const Tensor& weight, const std::vector<int64_t>& indices) {

@@ -77,6 +77,13 @@ Tensor SumRows(const Tensor& a);  ///< [N, D] -> [D], sum over rows
 /// Matrix product of [M, K] x [K, N] -> [M, N].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
+/// Affine map y = x W^T + b as one node: x [N, in] or [in], weight
+/// [out, in], bias [out] or undefined (no bias); returns [N, out] or [out].
+/// Forward and dx run on kernels::SmallKGemm, so each output row is bitwise
+/// independent of N and of the row's position; dW and db accumulate in
+/// their own hand-written passes.
+Tensor Affine(const Tensor& x, const Tensor& weight, const Tensor& bias);
+
 /// [N, D] x [D] -> [N].
 Tensor MatVec(const Tensor& a, const Tensor& v);
 
@@ -133,6 +140,31 @@ struct NeighborLists {
 Tensor EdgeSoftmaxAggregate(const Tensor& src, const Tensor& dst,
                             const Tensor& values, const NeighborLists& neighbors,
                             float negative_slope = 0.2f);
+
+// ---------------------------------------------------------------------------
+// Attention over packed segments.
+// ---------------------------------------------------------------------------
+
+/// Scaled dot-product attention over B segments packed row-wise:
+///
+///   out_b = softmax(q_b k_b^T / sqrt(d) + mask) v_b
+///
+/// q: [Tq, d]; k: [Tk, d]; v: [Tk, dv]; returns [Tq, dv]. Segment b's
+/// queries are rows [q_offsets[b], q_offsets[b + 1]) of q and its keys and
+/// values rows [kv_offsets[b], kv_offsets[b + 1]) of k and v; both offset
+/// vectors hold B + 1 ascending entries from 0 to the row count, and every
+/// segment with queries has at least one key. With `causal`, query i of a
+/// segment attends only to keys 0..i (query and key lengths must match).
+///
+/// One node for all segments, reading the packed buffers in place: q k^T is
+/// kernels::DotProductGemm, the softmax follows nn::Softmax's formula over
+/// the unmasked entries only (masked ones would underflow to exactly 0, so
+/// skipping them gives the same bits), and weights * v runs on
+/// kernels::SmallKGemm. A segment's rows therefore do not depend on the
+/// other segments in the pack.
+Tensor SegmentAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                        const std::vector<int64_t>& q_offsets,
+                        const std::vector<int64_t>& kv_offsets, bool causal);
 
 // ---------------------------------------------------------------------------
 // Embedding / gather.

@@ -22,13 +22,25 @@ uint8_t InvertPriority(Priority priority) {
   return static_cast<uint8_t>(kMaxPriority - static_cast<uint8_t>(priority));
 }
 
-/// Floor for the serve margin used by deadline-aware batch formation: even
-/// before the rolling batch p95 has data (cold start reports 0), closing a
-/// batch this far ahead of the tightest queued deadline leaves a worker
+/// Floor for the serve margin used by deadline-aware batch formation:
+/// closing a batch this far ahead of a queued deadline leaves a worker
 /// realistic time to run the model.
 constexpr double kMinServeMarginMs = 2.0;
 
 }  // namespace
+
+Clock::time_point DeadlineCappedClose(Clock::time_point window_close,
+                                      Clock::time_point enqueue,
+                                      Clock::time_point deadline,
+                                      double batch_p95_ms) {
+  const double budget_ms =
+      std::chrono::duration<double, std::milli>(deadline - enqueue).count();
+  const double margin_ms = std::max(
+      batch_p95_ms > 0.0 ? batch_p95_ms : budget_ms / 2.0, kMinServeMarginMs);
+  const auto margin =
+      std::chrono::microseconds(static_cast<int64_t>(margin_ms * 1000.0));
+  return std::min(window_close, deadline - margin);
+}
 
 EngineOptions EngineOptions::FromEnv() {
   EngineOptions o;
@@ -75,28 +87,26 @@ InferenceEngine::Clock::time_point InferenceEngine::BatchCloseTimeLocked()
     const {
   auto close = queue_.begin()->second.enqueue_time +
                std::chrono::microseconds(options_.coalesce_window_us);
-  // Deadline-aware cap: the batch must close early enough that the
-  // tightest-deadline queued request is still served within its budget —
+  // Deadline-aware cap: the batch must close early enough that every
+  // queued request with a deadline is still served within its budget —
   // otherwise a long coalesce window turns feasible deadlines into
   // kExpired drops at dequeue. Within a priority class the map is
   // deadline-ascending, so each class head carries that class's earliest
   // deadline; lower_bound jumps visit one entry per class (at most
   // kMaxPriority+1 of them) instead of scanning the queue.
-  Clock::time_point tightest = Clock::time_point::max();
+  const double batch_p95_ms = batch_p95_ms_.load(std::memory_order_relaxed);
   auto it = queue_.begin();
   while (it != queue_.end()) {
-    tightest = std::min(tightest, it->second.deadline);
+    const Request& head = it->second;
+    if (head.deadline != Clock::time_point::max()) {
+      close = DeadlineCappedClose(close, head.enqueue_time, head.deadline,
+                                  batch_p95_ms);
+    }
     const uint8_t cls = std::get<0>(it->first);
     it = queue_.lower_bound(QueueKey{static_cast<uint8_t>(cls + 1),
                                      Clock::time_point::min(), 0});
   }
-  if (tightest == Clock::time_point::max()) return close;  // no deadlines
-  const double margin_ms = std::max(
-      batch_p95_ms_.load(std::memory_order_relaxed), kMinServeMarginMs);
-  const auto margin =
-      std::chrono::microseconds(static_cast<int64_t>(margin_ms * 1000.0));
-  // A cap already in the past simply means "serve right now".
-  return std::min(close, tightest - margin);
+  return close;
 }
 
 InferenceEngine::Queue::iterator InferenceEngine::EvictableLocked(

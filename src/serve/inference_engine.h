@@ -71,6 +71,19 @@ struct EngineStats {
   int64_t expired_in_queue = 0;
 };
 
+/// When a forming batch must close on account of one queued request:
+/// `window_close` (the end of the coalesce window), capped at the request's
+/// `deadline` minus a serve margin. The margin is the rolling p95 batch
+/// service time once one has been measured (`batch_p95_ms` > 0); before
+/// that it is half the request's budget (deadline - enqueue), since with no
+/// service time known, holding the request until just short of its deadline
+/// bets it on a punctual wake-up. The margin is never below 2 ms. A cap
+/// already in the past means "serve now".
+std::chrono::steady_clock::time_point DeadlineCappedClose(
+    std::chrono::steady_clock::time_point window_close,
+    std::chrono::steady_clock::time_point enqueue,
+    std::chrono::steady_clock::time_point deadline, double batch_p95_ms);
+
 /// Multi-threaded batching inference front-end over any NextPoiModel: a
 /// bounded deadline/priority-aware admission queue, a pool of worker
 /// threads, and time/size-based request coalescing. A worker that pops a
@@ -78,7 +91,7 @@ struct EngineStats {
 /// next-to-serve request has waited `coalesce_window_us`, or waiting any
 /// longer would run the tightest queued deadline out of serving time
 /// (deadline-aware batch formation: the window is capped at that deadline
-/// minus the rolling p95 batch service time), then serves the whole batch
+/// minus a serve margin, see DeadlineCappedClose), then serves the whole batch
 /// with one RecommendBatch() call — with TSPN-RA that turns the
 /// queue's concurrent single queries into shared GEMMs against the cached
 /// tile/POI matrices.
@@ -230,9 +243,9 @@ class InferenceEngine {
   double EstimatedWaitMsLocked() const;
 
   /// When the forming batch must close: the coalesce window measured from
-  /// the next-to-serve request's arrival, capped at the tightest queued
-  /// deadline minus a serve margin (rolling p95 batch time, floored at a
-  /// small constant) so coalescing never expires a feasible request.
+  /// the next-to-serve request's arrival, capped by DeadlineCappedClose for
+  /// each priority class's earliest-deadline request, so coalescing never
+  /// holds a queued request to within its serve margin of its deadline.
   /// Requires mutex_ held and a non-empty queue.
   Clock::time_point BatchCloseTimeLocked() const;
 

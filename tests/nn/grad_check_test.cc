@@ -229,6 +229,56 @@ TEST(GradCheckTest, EdgeSoftmaxAggregate) {
   });
 }
 
+TEST(GradCheckTest, AffineWithBias) {
+  Tensor x = RandomInput({3, 4}, 40);
+  Tensor w = RandomInput({5, 4}, 41);
+  Tensor b = RandomInput({5}, 42);
+  CheckGradients({x, w, b}, [&] {
+    Tensor y = Affine(x, w, b);
+    return SumAll(Mul(y, y));
+  });
+}
+
+TEST(GradCheckTest, AffineNoBias) {
+  Tensor x = RandomInput({6, 3}, 43);
+  Tensor w = RandomInput({2, 3}, 44);
+  CheckGradients({x, w}, [&] {
+    Tensor y = Affine(x, w, Tensor());
+    return SumAll(Mul(y, y));
+  });
+}
+
+TEST(GradCheckTest, AffineVectorInput) {
+  Tensor x = RandomInput({4}, 45);
+  Tensor w = RandomInput({3, 4}, 46);
+  Tensor b = RandomInput({3}, 47);
+  CheckGradients({x, w, b}, [&] {
+    Tensor y = Affine(x, w, b);
+    return SumAll(Mul(y, y));
+  });
+}
+
+TEST(GradCheckTest, SegmentAttentionCross) {
+  // Two segments with different query and key counts.
+  Tensor q = RandomInput({4, 3}, 48);
+  Tensor k = RandomInput({5, 3}, 49);
+  Tensor v = RandomInput({5, 2}, 50);
+  CheckGradients({q, k, v}, [&] {
+    Tensor y = SegmentAttention(q, k, v, {0, 1, 4}, {0, 2, 5}, /*causal=*/false);
+    return SumAll(Mul(y, y));
+  });
+}
+
+TEST(GradCheckTest, SegmentAttentionCausal) {
+  Tensor q = RandomInput({5, 3}, 51);
+  Tensor k = RandomInput({5, 3}, 52);
+  Tensor v = RandomInput({5, 2}, 53);
+  CheckGradients({q, k, v}, [&] {
+    Tensor y = SegmentAttention(q, k, v, {0, 2, 5}, {0, 2, 5}, /*causal=*/true);
+    return SumAll(Mul(y, y));
+  });
+}
+
 TEST(GradCheckTest, DeepCompositeExpression) {
   // A miniature end-to-end graph mixing many op kinds.
   Tensor x = RandomInput({3, 4}, 36);

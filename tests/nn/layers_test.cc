@@ -52,6 +52,58 @@ TEST(LinearTest, GradCheckThroughLayer) {
   });
 }
 
+/// The op chain Linear::Forward replaced, kept as its oracle.
+Tensor LinearOracle(const Tensor& x, const Tensor& weight, const Tensor& bias) {
+  Tensor x2 = x.rank() == 1 ? Reshape(x, {1, x.dim(0)}) : x;
+  Tensor y = MatMul(x2, Transpose(weight));
+  if (bias.defined()) y = Add(y, bias);
+  return x.rank() == 1 ? Reshape(y, {weight.dim(0)}) : y;
+}
+
+Tensor ProbeLoss(const Tensor& out, uint64_t seed) {
+  common::Rng rng(seed);
+  return SumAll(Mul(out, Tensor::RandomUniform(out.shape(), 1.0f, rng)));
+}
+
+TEST(LinearTest, MatchesMatMulTransposeOracle) {
+  // Values and gradients (x, W, b) against MatMul(x, Transpose(W)) + b, with
+  // and without bias, for matrix and vector inputs; the sizes cover the
+  // kernel's 4-row, 32-column, 8-column and masked-column tails.
+  common::Rng rng(13);
+  for (bool with_bias : {true, false}) {
+    for (const Shape& x_shape : {Shape{37, 13}, Shape{4, 32}, Shape{13}}) {
+      const int64_t in = x_shape.back();
+      for (int64_t out : {int64_t{5}, int64_t{32}, int64_t{45}}) {
+        Linear layer(in, out, rng, with_bias);
+        Tensor bias = layer.bias();
+        if (with_bias) {  // a zero bias would hide a missing bias add
+          for (int64_t j = 0; j < out; ++j) bias.data()[j] = 0.1f * static_cast<float>(j);
+        }
+        Tensor x = Tensor::RandomUniform(x_shape, 1.0f, rng, /*requires_grad=*/true);
+        testing::CheckTensorsNear(layer.Forward(x),
+                                  LinearOracle(x, layer.weight(), bias), 1e-5f);
+        std::vector<Tensor> inputs = layer.Parameters();
+        inputs.push_back(x);
+        testing::CheckGradParity(
+            inputs, [&] { return ProbeLoss(layer.Forward(x), 14); },
+            [&] { return ProbeLoss(LinearOracle(x, layer.weight(), bias), 14); },
+            1e-5f);
+      }
+    }
+  }
+}
+
+TEST(LinearTest, RowsAreBitwiseIndependentOfBatch) {
+  common::Rng rng(15);
+  Linear layer(24, 32, rng);
+  Tensor x = Tensor::RandomUniform({11, 24}, 1.0f, rng);
+  Tensor all = layer.Forward(x);
+  for (int64_t i = 0; i < 11; ++i) {
+    Tensor one = layer.Forward(Row(x, i));
+    for (int64_t j = 0; j < 32; ++j) EXPECT_EQ(one.at(j), all.at(i * 32 + j));
+  }
+}
+
 TEST(EmbeddingTest, LookupAndShapes) {
   common::Rng rng(5);
   Embedding emb(10, 4, rng);
@@ -141,6 +193,27 @@ TEST(AttentionTest, NonCausalAttendsEverywhere) {
   float diff = 0.0f;
   for (int j = 0; j < 4; ++j) diff += std::abs(y1.at(j) - y2.at(j));
   EXPECT_GT(diff, 1e-4);
+}
+
+TEST(AttentionTest, PackedForwardMatchesEachSegmentAlone) {
+  common::Rng rng(16);
+  Attention attn(8, rng);
+  Tensor seq = Tensor::RandomUniform({9, 8}, 1.0f, rng);
+  Tensor hist = Tensor::RandomUniform({7, 8}, 1.0f, rng);
+  const std::vector<int64_t> offsets = {0, 4, 9}, hist_offsets = {0, 2, 7};
+  Tensor self_packed = attn.Forward(seq, offsets, seq, offsets, /*causal=*/true);
+  Tensor cross_packed = attn.Forward(seq, offsets, hist, hist_offsets, false);
+  for (size_t b = 0; b < 2; ++b) {
+    const int64_t start = offsets[b], len = offsets[b + 1] - start;
+    Tensor s = SliceRows(seq, start, len);
+    Tensor h = SliceRows(hist, hist_offsets[b], hist_offsets[b + 1] - hist_offsets[b]);
+    Tensor self_alone = attn.Forward(s, s, /*causal=*/true);
+    Tensor cross_alone = attn.Forward(s, h, /*causal=*/false);
+    for (int64_t i = 0; i < len * 8; ++i) {
+      EXPECT_EQ(self_alone.at(i), self_packed.at(start * 8 + i));
+      EXPECT_EQ(cross_alone.at(i), cross_packed.at(start * 8 + i));
+    }
+  }
 }
 
 TEST(ModuleTest, ParameterCountAggregatesChildren) {

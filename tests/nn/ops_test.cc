@@ -519,5 +519,190 @@ TEST(OpsTest, BackwardThroughSharedSubexpression) {
   EXPECT_NEAR(a.grad()[1], 12.0f, 1e-5);
 }
 
+// --- Attention over packed segments -------------------------------------------
+
+/// The op chain SegmentAttention replaced, kept as its oracle: per segment,
+/// slice out q/k/v, softmax(MulScalar(q k^T) + causal mask) v through
+/// MatMul, Transpose and Softmax, then concatenate the segments.
+Tensor SegmentAttentionOracle(const Tensor& q, const Tensor& k, const Tensor& v,
+                              const std::vector<int64_t>& q_offsets,
+                              const std::vector<int64_t>& kv_offsets,
+                              bool causal) {
+  const float scale = 1.0f / std::sqrt(static_cast<float>(q.dim(1)));
+  std::vector<Tensor> parts;
+  for (size_t b = 0; b + 1 < q_offsets.size(); ++b) {
+    const int64_t lq = q_offsets[b + 1] - q_offsets[b];
+    const int64_t lk = kv_offsets[b + 1] - kv_offsets[b];
+    Tensor qs = SliceRows(q, q_offsets[b], lq);
+    Tensor ks = SliceRows(k, kv_offsets[b], lk);
+    Tensor vs = SliceRows(v, kv_offsets[b], lk);
+    Tensor scores = MulScalar(MatMul(qs, Transpose(ks)), scale);
+    if (causal) {
+      std::vector<float> mask(static_cast<size_t>(lq * lk), 0.0f);
+      for (int64_t i = 0; i < lq; ++i) {
+        for (int64_t j = i + 1; j < lk; ++j) {
+          mask[static_cast<size_t>(i * lk + j)] = -1e9f;
+        }
+      }
+      scores = Add(scores, Tensor::FromVector({lq, lk}, std::move(mask)));
+    }
+    parts.push_back(MatMul(Softmax(scores), vs));
+  }
+  return ConcatRows(parts);
+}
+
+/// Scalar probe loss sum(out * probe) with a fixed random probe, so every
+/// output element gets its own gradient.
+Tensor ProbeLoss(const Tensor& out, uint64_t seed) {
+  common::Rng rng(seed);
+  return SumAll(Mul(out, Tensor::RandomUniform(out.shape(), 1.0f, rng)));
+}
+
+struct AttentionInputs {
+  Tensor q, k, v;
+};
+
+AttentionInputs RandomAttentionInputs(int64_t tq, int64_t tk, int64_t d,
+                                      int64_t dv, uint64_t seed) {
+  common::Rng rng(seed);
+  return {Tensor::RandomUniform({tq, d}, 1.0f, rng, /*requires_grad=*/true),
+          Tensor::RandomUniform({tk, d}, 1.0f, rng, /*requires_grad=*/true),
+          Tensor::RandomUniform({tk, dv}, 1.0f, rng, /*requires_grad=*/true)};
+}
+
+TEST(SegmentAttentionTest, MatchesOpChainOracleValuesAndGradients) {
+  // Segment lengths straddle the kernels' 4-row and 8-column tiles; the
+  // oracle's MatMul rounds differently, hence 1e-5 rather than bitwise.
+  const std::vector<int64_t> self_offsets = {0, 1, 6, 15, 28};
+  const std::vector<int64_t> hist_offsets = {0, 3, 11, 12, 33};
+  for (bool causal : {false, true}) {
+    const std::vector<int64_t>& kv_offsets = causal ? self_offsets : hist_offsets;
+    AttentionInputs in =
+        RandomAttentionInputs(28, kv_offsets.back(), 32, 32, causal ? 61 : 62);
+    testing::CheckTensorsNear(
+        SegmentAttention(in.q, in.k, in.v, self_offsets, kv_offsets, causal),
+        SegmentAttentionOracle(in.q, in.k, in.v, self_offsets, kv_offsets, causal),
+        1e-5f);
+    testing::CheckGradParity(
+        {in.q, in.k, in.v},
+        [&] {
+          return ProbeLoss(SegmentAttention(in.q, in.k, in.v, self_offsets,
+                                            kv_offsets, causal), 63);
+        },
+        [&] {
+          return ProbeLoss(SegmentAttentionOracle(in.q, in.k, in.v, self_offsets,
+                                                  kv_offsets, causal), 63);
+        },
+        1e-5f);
+  }
+}
+
+TEST(SegmentAttentionTest, PackedSegmentsEqualEachSegmentAloneBitwise) {
+  // Values and input gradients of every segment are the same bits whether
+  // it runs alone or inside the pack.
+  const std::vector<int64_t> q_offsets = {0, 5, 6, 15, 22};
+  const std::vector<int64_t> kv_offsets = {0, 9, 10, 12, 30};
+  for (bool causal : {false, true}) {
+    const std::vector<int64_t>& kvo = causal ? q_offsets : kv_offsets;
+    AttentionInputs in = RandomAttentionInputs(22, kvo.back(), 16, 24, 64);
+    Tensor packed = SegmentAttention(in.q, in.k, in.v, q_offsets, kvo, causal);
+    common::Rng probe_rng(65);
+    Tensor probe = Tensor::RandomUniform(packed.shape(), 1.0f, probe_rng);
+    for (Tensor* t : {&in.q, &in.k, &in.v}) t->ZeroGrad();
+    SumAll(Mul(packed, probe)).Backward();
+    const std::vector<float> gq = in.q.GradToVector();
+    const std::vector<float> gk = in.k.GradToVector();
+    const std::vector<float> gv = in.v.GradToVector();
+    for (size_t b = 0; b + 1 < q_offsets.size(); ++b) {
+      const int64_t qs = q_offsets[b], lq = q_offsets[b + 1] - qs;
+      const int64_t ks = kvo[b], lk = kvo[b + 1] - ks;
+      auto slice = [](const Tensor& t, int64_t start, int64_t rows) {
+        return Tensor::FromVector(
+            {rows, t.dim(1)},
+            std::vector<float>(t.data() + start * t.dim(1),
+                               t.data() + (start + rows) * t.dim(1)),
+            /*requires_grad=*/true);
+      };
+      Tensor q1 = slice(in.q, qs, lq), k1 = slice(in.k, ks, lk),
+             v1 = slice(in.v, ks, lk);
+      Tensor alone = SegmentAttention(q1, k1, v1, {0, lq}, {0, lk}, causal);
+      SumAll(Mul(alone, slice(probe, qs, lq).Detach())).Backward();
+      for (int64_t i = 0; i < alone.numel(); ++i) {
+        EXPECT_EQ(alone.at(i), packed.at(qs * packed.dim(1) + i))
+            << "causal=" << causal << " segment " << b << " element " << i;
+      }
+      auto expect_grad = [&](const Tensor& t, const std::vector<float>& full,
+                             int64_t start, const char* name) {
+        const std::vector<float> g = t.GradToVector();
+        for (size_t i = 0; i < g.size(); ++i) {
+          EXPECT_EQ(g[i], full[static_cast<size_t>(start * t.dim(1)) + i])
+              << name << " causal=" << causal << " segment " << b << " element " << i;
+        }
+      };
+      expect_grad(q1, gq, qs, "dq");
+      expect_grad(k1, gk, ks, "dk");
+      expect_grad(v1, gv, ks, "dv");
+    }
+  }
+}
+
+TEST(SegmentAttentionTest, CausalFutureRowsChangeNothingEarlier) {
+  // Perturbing rows >= p of q, k and v changes neither the outputs of rows
+  // < p nor the gradients those rows' outputs send to rows < p.
+  const int64_t len = 11, p = 6, d = 8;
+  AttentionInputs base = RandomAttentionInputs(len, len, d, d, 66);
+  auto perturbed = [&](const Tensor& t) {
+    std::vector<float> values = t.ToVector();
+    for (size_t i = static_cast<size_t>(p * d); i < values.size(); ++i) {
+      values[i] += 3.0f;
+    }
+    return Tensor::FromVector(t.shape(), std::move(values), /*requires_grad=*/true);
+  };
+  AttentionInputs moved = {perturbed(base.q), perturbed(base.k), perturbed(base.v)};
+  struct Result {
+    std::vector<float> out, gq, gk, gv;
+  };
+  auto run = [&](AttentionInputs& in) {
+    Tensor out = SegmentAttention(in.q, in.k, in.v, {0, len}, {0, len},
+                                  /*causal=*/true);
+    ProbeLoss(SliceRows(out, 0, p), 67).Backward();
+    return Result{out.ToVector(), in.q.GradToVector(), in.k.GradToVector(),
+                  in.v.GradToVector()};
+  };
+  const Result a = run(base);
+  const Result b = run(moved);
+  for (size_t i = 0; i < static_cast<size_t>(p * d); ++i) {
+    EXPECT_EQ(a.out[i], b.out[i]) << "output element " << i;
+    EXPECT_EQ(a.gq[i], b.gq[i]) << "dq element " << i;
+    EXPECT_EQ(a.gk[i], b.gk[i]) << "dk element " << i;
+    EXPECT_EQ(a.gv[i], b.gv[i]) << "dv element " << i;
+  }
+}
+
+TEST(SegmentAttentionTest, RejectsMalformedOffsets) {
+  AttentionInputs in = RandomAttentionInputs(4, 4, 2, 2, 68);
+  EXPECT_DEATH(SegmentAttention(in.q, in.k, in.v, {0, 3}, {0, 4}, false), "");
+  EXPECT_DEATH(SegmentAttention(in.q, in.k, in.v, {0, 2, 4}, {0, 4, 4}, false),
+               "no keys");
+  EXPECT_DEATH(SegmentAttention(in.q, in.k, in.v, {0, 1, 4}, {0, 2, 4}, true),
+               "square");
+}
+
+TEST(SoftmaxTest, InferenceValuesMatchTrainingValues) {
+  // The output is saved for backward only while a graph records it; the
+  // values themselves must not depend on that.
+  common::Rng rng(69);
+  Tensor a = Tensor::RandomUniform({3, 7}, 2.0f, rng, /*requires_grad=*/true);
+  Tensor tracked = Softmax(a);
+  Tensor untracked;
+  {
+    NoGradGuard guard;
+    untracked = Softmax(a);
+  }
+  testing::CheckTensorsNear(untracked, tracked);
+  ProbeLoss(tracked, 70).Backward();
+  EXPECT_NE(a.GradToVector(), std::vector<float>(21, 0.0f));
+}
+
 }  // namespace
 }  // namespace tspn::nn

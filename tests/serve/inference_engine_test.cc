@@ -578,6 +578,29 @@ TEST(InferenceEngineAdmissionTest, TightDeadlineShortensCoalesceWindow) {
   EXPECT_GE(stats.max_batch_observed, 3);  // the trio really coalesced
 }
 
+TEST(InferenceEngineAdmissionTest, ColdStartKeepsHalfTheDeadlineBudget) {
+  // Regression for TightDeadlineShortensCoalesceWindow's flake: before any
+  // batch time is measured, the close time for a 250 ms request used to be
+  // 2 ms short of its deadline, so a wake-up 2 ms late expired it. With no
+  // service time known the cap keeps half the budget in hand.
+  using std::chrono::milliseconds;
+  const auto t0 = std::chrono::steady_clock::time_point{} + std::chrono::hours(1);
+  const auto window_close = t0 + milliseconds(2000);
+  const auto deadline = t0 + milliseconds(250);
+  EXPECT_EQ(DeadlineCappedClose(window_close, t0, deadline, 0.0),
+            t0 + milliseconds(125));
+  // A measured p95 sets the margin instead, floored at 2 ms.
+  EXPECT_EQ(DeadlineCappedClose(window_close, t0, deadline, 40.0),
+            t0 + milliseconds(210));
+  EXPECT_EQ(DeadlineCappedClose(window_close, t0, deadline, 0.5),
+            t0 + milliseconds(248));
+  // Tiny budgets keep the 2 ms floor; a window that closes first wins.
+  EXPECT_EQ(DeadlineCappedClose(window_close, t0, t0 + milliseconds(3), 0.0),
+            t0 + milliseconds(1));
+  EXPECT_EQ(DeadlineCappedClose(t0 + milliseconds(50), t0, deadline, 0.0),
+            t0 + milliseconds(50));
+}
+
 TEST(InferenceEngineAdmissionTest, InfeasibleDeadlineRefusedAtSubmit) {
   SlowModel model;
   InferenceEngine engine(model, AdmissionOptions(16, 1));
