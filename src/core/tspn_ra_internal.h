@@ -1,7 +1,8 @@
 #ifndef TSPN_CORE_TSPN_RA_INTERNAL_H_
 #define TSPN_CORE_TSPN_RA_INTERNAL_H_
 
-// Implementation detail shared by tspn_ra.cc and trainer.cc only.
+// Implementation detail shared by tspn_ra.cc, trainer.cc and the parity
+// tests' uncached reference path.
 
 #include "core/tspn_ra.h"
 #include "nn/optim.h"

@@ -1,7 +1,6 @@
 #include "nn/kernels.h"
 
 #include <algorithm>
-#include <cmath>
 #include <thread>
 
 #include "common/env.h"
@@ -228,10 +227,11 @@ namespace {
 
 /// Runs range_fn(begin, end) over [0, rows), split across NumThreads()
 /// std::thread workers when the product is large enough to pay for them.
-/// Chunks are rounded up to `align` rows so only the last worker runs a
-/// partial register tile.
+/// Chunks are rounded up to whole 4-row register tiles so only the last
+/// worker runs a partial one.
 template <typename RangeFn>
-void ForRowRanges(int64_t rows, int64_t flops, int64_t align, RangeFn range_fn) {
+void ForRowRanges(int64_t rows, int64_t flops, RangeFn range_fn) {
+  constexpr int64_t kAlign = 4;
   int threads = NumThreads();
   if (threads > 1) {
     threads = static_cast<int>(std::min<int64_t>(
@@ -241,7 +241,8 @@ void ForRowRanges(int64_t rows, int64_t flops, int64_t align, RangeFn range_fn) 
     range_fn(int64_t{0}, rows);
     return;
   }
-  const int64_t chunk = ((rows + threads - 1) / threads + align - 1) / align * align;
+  const int64_t chunk =
+      ((rows + threads - 1) / threads + kAlign - 1) / kAlign * kAlign;
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(threads));
   for (int64_t begin = 0; begin < rows; begin += chunk) {
@@ -259,7 +260,7 @@ void DotProductGemm(const float* y, const float* z, float* c, int64_t p_rows,
     if (!accumulate) std::fill(c, c + p_rows * q_rows, 0.0f);
     return;
   }
-  ForRowRanges(p_rows, p_rows * q_rows * r_len, 4,
+  ForRowRanges(p_rows, p_rows * q_rows * r_len,
                [=](int64_t begin, int64_t end) {
                  DotProductGemmRange(y, z, c, begin, end, q_rows, r_len,
                                      accumulate);
@@ -372,106 +373,9 @@ void SmallKGemmRange(const float* y, const float* b, float* c, int64_t begin,
 void SmallKGemm(const float* y, const float* b, float* c, int64_t m, int64_t n,
                 int64_t k, bool accumulate) {
   if (m <= 0 || n <= 0) return;
-  ForRowRanges(m, m * n * std::max<int64_t>(k, 1), 4,
+  ForRowRanges(m, m * n * std::max<int64_t>(k, 1),
                [=](int64_t begin, int64_t end) {
                  SmallKGemmRange(y, b, c, begin, end, n, k, accumulate);
-               });
-}
-
-void QuantizeRowsInt8(const float* src, int64_t rows, int64_t cols,
-                      int8_t* codes, float* scales) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* x = src + r * cols;
-    int8_t* q = codes + r * cols;
-    float max_abs = 0.0f;
-    for (int64_t c = 0; c < cols; ++c) max_abs = std::max(max_abs, std::fabs(x[c]));
-    if (max_abs == 0.0f) {
-      scales[r] = 0.0f;
-      std::fill(q, q + cols, static_cast<int8_t>(0));
-      continue;
-    }
-    const float scale = max_abs / 127.0f;
-    scales[r] = scale;
-    for (int64_t c = 0; c < cols; ++c) {
-      long v = std::lround(x[c] / scale);
-      q[c] = static_cast<int8_t>(std::clamp<long>(v, -127, 127));
-    }
-  }
-}
-
-namespace {
-
-#ifdef TSPN_KERNELS_AVX2
-
-inline int32_t Int8DotImpl(const int8_t* y, const int8_t* z, int64_t r_len) {
-  __m256i acc = _mm256_setzero_si256();
-  int64_t r = 0;
-  for (; r + 16 <= r_len; r += 16) {
-    __m256i y16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + r)));
-    __m256i z16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(z + r)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(y16, z16));
-  }
-  __m128i lo = _mm256_castsi256_si128(acc);
-  __m128i hi = _mm256_extracti128_si256(acc, 1);
-  lo = _mm_add_epi32(lo, hi);
-  lo = _mm_hadd_epi32(lo, lo);
-  lo = _mm_hadd_epi32(lo, lo);
-  int32_t s = _mm_cvtsi128_si32(lo);
-  for (; r < r_len; ++r) s += static_cast<int32_t>(y[r]) * z[r];
-  return s;
-}
-
-#else  // portable fallback
-
-inline int32_t Int8DotImpl(const int8_t* y, const int8_t* z, int64_t r_len) {
-  int32_t s = 0;
-  for (int64_t r = 0; r < r_len; ++r) s += static_cast<int32_t>(y[r]) * z[r];
-  return s;
-}
-
-#endif  // TSPN_KERNELS_AVX2
-
-/// Single-threaded int8 scoring kernel over a [p_begin, p_end) row range.
-/// Blocking over q keeps the active Z code rows in L1, mirroring the fp32
-/// kernel; because the accumulation is exact integer math, the blocking has
-/// no effect on the result.
-void Int8ScoreGemmRange(const int8_t* y, const float* y_scales, const int8_t* z,
-                        const float* z_scales, float* c, int64_t p_begin,
-                        int64_t p_end, int64_t q_rows, int64_t r_len) {
-  for (int64_t qb = 0; qb < q_rows; qb += kBlockQ) {
-    const int64_t qe = std::min(qb + kBlockQ, q_rows);
-    for (int64_t p = p_begin; p < p_end; ++p) {
-      const int8_t* yp = y + p * r_len;
-      const float sy = y_scales[p];
-      float* dst = c + p * q_rows;
-      for (int64_t q = qb; q < qe; ++q) {
-        const int32_t acc = Int8DotImpl(yp, z + q * r_len, r_len);
-        dst[q] = static_cast<float>(acc) * (sy * z_scales[q]);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-int32_t Int8Dot(const int8_t* y, const int8_t* z, int64_t r_len) {
-  return Int8DotImpl(y, z, r_len);
-}
-
-void Int8ScoreGemm(const int8_t* y, const float* y_scales, const int8_t* z,
-                   const float* z_scales, float* c, int64_t p_rows,
-                   int64_t q_rows, int64_t r_len) {
-  if (p_rows <= 0 || q_rows <= 0) return;
-  if (r_len <= 0) {
-    std::fill(c, c + p_rows * q_rows, 0.0f);
-    return;
-  }
-  ForRowRanges(p_rows, p_rows * q_rows * r_len, 1,
-               [=](int64_t begin, int64_t end) {
-                 Int8ScoreGemmRange(y, y_scales, z, z_scales, c, begin, end,
-                                    q_rows, r_len);
                });
 }
 

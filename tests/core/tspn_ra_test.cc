@@ -4,13 +4,94 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "core/tspn_ra_internal.h"
 #include "eval/metrics.h"
+#include "nn/ops.h"
 
 namespace tspn::core {
+
+/// The uncached per-query inference path, the reference the cached batch
+/// core is checked against: per query, the leaf rows are gathered from ET
+/// and every tile is sorted, and the candidate POIs are encoded and
+/// normalized. Unconstrained requests only.
+class TspnRaTestPeer {
+ public:
+  /// Every candidate tile, ranked by (cosine desc, index asc).
+  static std::vector<int64_t> RankTiles(const TspnRa& model,
+                                        const data::SampleRef& sample) {
+    return FullSort(Run(model, sample).cos_tiles);
+  }
+
+  /// Top `top_n` of the POIs in the best `top_k` tiles (of every POI
+  /// without the two-step screen), scored as pc + gamma * tc.
+  static eval::RecommendResponse Recommend(const TspnRa& model,
+                                           const data::SampleRef& sample,
+                                           int64_t top_n, int32_t top_k) {
+    const Query query = Run(model, sample);
+    nn::NoGradGuard guard;
+    const bool two_step = model.config_.use_two_step;
+    eval::RecommendResponse response;
+    response.stages_used = two_step ? 2 : 1;
+    std::vector<int64_t> candidates;
+    if (two_step) {
+      candidates = model.GatherCandidates(FullSort(query.cos_tiles), top_k);
+    } else {
+      candidates = model.AllAllowedPois(nullptr);
+    }
+    std::vector<int64_t> cats;
+    for (int64_t pid : candidates) {
+      cats.push_back(model.dataset_->poi(pid).category);
+    }
+    nn::Tensor cos_pois = nn::MatVec(
+        nn::L2Normalize(model.net_->poi_encoder.Encode(candidates, cats)),
+        nn::L2Normalize(query.fwd.h_poi));
+    const float gamma = model.net_->tile_prior_weight.at(0);
+    const float* pc = cos_pois.data();
+    const float* tc = query.cos_tiles.data();
+    std::vector<float> scores(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const int64_t tile = model.CandidateTileOfPoi(candidates[i]);
+      scores[i] = two_step ? pc[i] + gamma * tc[tile] : pc[i];
+    }
+    model.FillRankedItems(candidates, scores.data(), top_n, &response);
+    return response;
+  }
+
+ private:
+  struct Query {
+    TspnRa::ForwardOut fwd;
+    nn::Tensor cos_tiles;  // against the leaf rows gathered from ET
+  };
+
+  static Query Run(const TspnRa& model, const data::SampleRef& sample) {
+    model.EnsureInferenceCaches();  // ET of the current weights, eval mode
+    nn::NoGradGuard guard;
+    common::Rng rng(model.config_.seed);  // dropout is off: never drawn
+    Query query;
+    query.fwd =
+        model.Forward(model.ExtractFeatures(sample), model.et_cache_, rng);
+    query.cos_tiles =
+        model.TileCosinesFrom(model.et_cache_, query.fwd.h_tile);
+    return query;
+  }
+
+  static std::vector<int64_t> FullSort(const nn::Tensor& cos_tiles) {
+    const float* cos = cos_tiles.data();
+    std::vector<int64_t> order(static_cast<size_t>(cos_tiles.numel()));
+    std::iota(order.begin(), order.end(), int64_t{0});
+    std::sort(order.begin(), order.end(), [cos](int64_t a, int64_t b) {
+      if (cos[a] != cos[b]) return cos[a] > cos[b];
+      return a < b;
+    });
+    return order;
+  }
+};
+
 namespace {
 
 TspnRaConfig TinyConfig() {
@@ -79,24 +160,19 @@ TEST_F(TspnRaTest, RankTilesTopKMatchesFullSortPrefix) {
 
 TEST_F(TspnRaTest, CachedInferenceMatchesUncachedPath) {
   // The cached leaf-matrix + partial-sort inference path must recommend
-  // exactly what the per-query gather + full-sort path (the seed behavior,
-  // kept behind TSPN_DISABLE_INFERENCE_CACHE) recommends.
+  // exactly what the per-query gather + full-sort reference recommends.
   TspnRa model(dataset_, TinyConfig());
   auto samples = dataset_->Samples(data::Split::kTest);
   ASSERT_FALSE(samples.empty());
   const size_t count = std::min<size_t>(4, samples.size());
-  std::vector<std::vector<int64_t>> cached_recs, cached_tiles;
   for (size_t s = 0; s < count; ++s) {
-    cached_recs.push_back(model.RecommendWithK(samples[s], 10, 3));
-    cached_tiles.push_back(model.RankTiles(samples[s]));
-  }
-  setenv("TSPN_DISABLE_INFERENCE_CACHE", "1", 1);
-  for (size_t s = 0; s < count; ++s) {
-    EXPECT_EQ(model.RecommendWithK(samples[s], 10, 3), cached_recs[s])
+    EXPECT_EQ(model.RecommendWithK(samples[s], 10, 3),
+              TspnRaTestPeer::Recommend(model, samples[s], 10, 3).PoiIds())
         << "sample " << s;
-    EXPECT_EQ(model.RankTiles(samples[s]), cached_tiles[s]) << "sample " << s;
+    EXPECT_EQ(model.RankTiles(samples[s]),
+              TspnRaTestPeer::RankTiles(model, samples[s]))
+        << "sample " << s;
   }
-  unsetenv("TSPN_DISABLE_INFERENCE_CACHE");
 }
 
 TEST_F(TspnRaTest, RecommendBatchMatchesSingleQuery) {
@@ -151,21 +227,6 @@ TEST_F(TspnRaTest, RecommendBatchParityAfterTrainingAndOnAblations) {
       EXPECT_EQ(batched[i], model.Recommend(query[i], 10)) << "query " << i;
     }
   }
-}
-
-TEST_F(TspnRaTest, RecommendBatchFallsBackWhenCacheDisabled) {
-  TspnRa model(dataset_, TinyConfig());
-  auto samples = dataset_->Samples(data::Split::kTest);
-  std::vector<data::SampleRef> query(samples.begin(),
-                                     samples.begin() +
-                                         std::min<size_t>(3, samples.size()));
-  setenv("TSPN_DISABLE_INFERENCE_CACHE", "1", 1);
-  std::vector<std::vector<int64_t>> batched =
-      model.RecommendBatch(common::Span<data::SampleRef>(query), 10);
-  for (size_t i = 0; i < query.size(); ++i) {
-    EXPECT_EQ(batched[i], model.Recommend(query[i], 10)) << "query " << i;
-  }
-  unsetenv("TSPN_DISABLE_INFERENCE_CACHE");
 }
 
 TEST_F(TspnRaTest, BatchedEvaluationMatchesSerialEvaluation) {
@@ -314,40 +375,11 @@ TEST_F(TspnRaTest, ParameterCountPositiveAndStable) {
   EXPECT_EQ(a.Parameters().size(), b.Parameters().size());
 }
 
-TEST_F(TspnRaTest, WeightRoundTripPreservesRecommendations) {
-  TspnRa a(dataset_, TinyConfig());
-  eval::TrainOptions options;
-  options.epochs = 1;
-  options.max_samples_per_epoch = 32;
-  a.Train(options);
-  std::string path = ::testing::TempDir() + "/tspn_weights.bin";
-  a.SaveWeights(path);
-
-  TspnRaConfig other = TinyConfig();
-  other.seed = 99;  // different init
-  TspnRa b(dataset_, other);
-  ASSERT_TRUE(b.LoadWeights(path));
-  auto samples = dataset_->Samples(data::Split::kTest);
-  for (size_t i = 0; i < std::min<size_t>(3, samples.size()); ++i) {
-    EXPECT_EQ(a.Recommend(samples[i], 10), b.Recommend(samples[i], 10));
-  }
-}
-
-TEST_F(TspnRaTest, LoadWeightsRejectsMismatchedArchitecture) {
-  TspnRa a(dataset_, TinyConfig());
-  std::string path = ::testing::TempDir() + "/tspn_weights2.bin";
-  a.SaveWeights(path);
-  TspnRaConfig bigger = TinyConfig();
-  bigger.dm = 32;
-  TspnRa b(dataset_, bigger);
-  EXPECT_FALSE(b.LoadWeights(path));
-}
-
 TEST_F(TspnRaTest, ScoredV2MatchesV1RankingCachedAndUncached) {
-  // The v2 scored response must rank exactly as the v1 id list on both the
-  // cached and the cache-disabled inference paths; scores agree across the
-  // two paths to float precision (the cached leaf matrix is re-normalized,
-  // an identity up to ulps on the already-unit-norm ET rows).
+  // The v2 scored response must rank exactly as the v1 id list, and exactly
+  // as the uncached reference path; scores agree with the reference to float
+  // precision (the cached leaf matrix is re-normalized, an identity up to
+  // ulps on the already-unit-norm ET rows).
   TspnRa model(dataset_, TinyConfig());
   eval::TrainOptions options;
   options.epochs = 1;
@@ -374,12 +406,9 @@ TEST_F(TspnRaTest, ScoredV2MatchesV1RankingCachedAndUncached) {
     }
     cached.push_back(std::move(response));
   }
-  setenv("TSPN_DISABLE_INFERENCE_CACHE", "1", 1);
   for (size_t s = 0; s < count; ++s) {
-    eval::RecommendRequest request;
-    request.sample = samples[s];
-    request.top_n = 10;
-    eval::RecommendResponse uncached = model.Recommend(request);
+    eval::RecommendResponse uncached = TspnRaTestPeer::Recommend(
+        model, samples[s], 10, TinyConfig().top_k_tiles);
     ASSERT_EQ(uncached.items.size(), cached[s].items.size()) << "sample " << s;
     for (size_t i = 0; i < uncached.items.size(); ++i) {
       EXPECT_EQ(uncached.items[i].poi_id, cached[s].items[i].poi_id)
@@ -388,7 +417,6 @@ TEST_F(TspnRaTest, ScoredV2MatchesV1RankingCachedAndUncached) {
           << "sample " << s << " rank " << i;
     }
   }
-  unsetenv("TSPN_DISABLE_INFERENCE_CACHE");
 }
 
 TEST_F(TspnRaTest, BatchScoresBitwiseMatchSingleQuery) {
@@ -432,12 +460,11 @@ TEST_F(TspnRaTest, BatchScoresBitwiseMatchSingleQuery) {
   }
 }
 
-TEST_F(TspnRaTest, BatchedEncoderBitwiseMatchesPerSampleEncoderAb) {
-  // The packed one-GEMM encoder forward must reproduce the per-sample
-  // encoder loop (TSPN_DISABLE_BATCHED_ENCODER=1, the seed behavior)
-  // bitwise: same POI ids AND same float scores, across batch sizes
-  // straddling the GEMM tile boundary, on fresh and trained weights, and
-  // with the two-step screen ablated.
+TEST_F(TspnRaTest, BatchedEncoderBitwiseMatchesBatchesOfOne) {
+  // The packed encoder forward over a batch must reproduce one forward per
+  // sample (a batch of one each) bitwise: same POI ids AND same float
+  // scores, across batch sizes straddling the GEMM tile boundary, on fresh
+  // and trained weights, and with the two-step screen ablated.
   eval::TrainOptions options;
   options.epochs = 1;
   options.max_samples_per_epoch = 24;
@@ -461,10 +488,11 @@ TEST_F(TspnRaTest, BatchedEncoderBitwiseMatchesPerSampleEncoderAb) {
         }
         std::vector<eval::RecommendResponse> packed =
             model.RecommendBatch(common::Span<eval::RecommendRequest>(requests));
-        setenv("TSPN_DISABLE_BATCHED_ENCODER", "1", 1);
-        std::vector<eval::RecommendResponse> serial =
-            model.RecommendBatch(common::Span<eval::RecommendRequest>(requests));
-        unsetenv("TSPN_DISABLE_BATCHED_ENCODER");
+        std::vector<eval::RecommendResponse> serial;
+        for (const eval::RecommendRequest& request : requests) {
+          common::Span<eval::RecommendRequest> one(&request, 1);
+          serial.push_back(model.RecommendBatch(one).front());
+        }
         ASSERT_EQ(packed.size(), serial.size());
         for (size_t i = 0; i < batch; ++i) {
           ASSERT_EQ(packed[i].items.size(), serial[i].items.size())
@@ -480,99 +508,6 @@ TEST_F(TspnRaTest, BatchedEncoderBitwiseMatchesPerSampleEncoderAb) {
         }
       }
     }
-  }
-}
-
-TEST_F(TspnRaTest, QuantScoringPreservesTopKExactly) {
-  // TSPN_QUANT_SCORING=1 must not change the recommended top-k on the seed
-  // dataset — and with the int8-screen + fp32-rescue design the guarantee
-  // is bitwise: same POI ids, same scores, same order. The build-time
-  // parity gate replays the first 128 test-split samples (a superset of
-  // the queries below) and must admit int8 on this checkpoint; a rejection
-  // would mean the error-bound rescue has a bug.
-  eval::TrainOptions options;
-  options.epochs = 1;
-  options.max_samples_per_epoch = 24;
-  auto samples = dataset_->Samples(data::Split::kTest);
-  ASSERT_GE(samples.size(), 2u);
-  const size_t count = std::min<size_t>(12, samples.size());
-  for (bool trained : {false, true}) {
-    TspnRa fp32_model(dataset_, TinyConfig());
-    TspnRa quant_model(dataset_, TinyConfig());
-    if (trained) {
-      fp32_model.Train(options);
-      quant_model.Train(options);
-    }
-    std::vector<eval::RecommendRequest> requests(count);
-    for (size_t i = 0; i < count; ++i) requests[i].sample = samples[i];
-    std::vector<eval::RecommendResponse> fp32_batch = fp32_model.RecommendBatch(
-        common::Span<eval::RecommendRequest>(requests));
-    setenv("TSPN_QUANT_SCORING", "1", 1);
-    std::vector<eval::RecommendResponse> quant_batch =
-        quant_model.RecommendBatch(
-            common::Span<eval::RecommendRequest>(requests));
-    EXPECT_TRUE(quant_model.QuantScoringActive())
-        << "the parity gate must admit int8 on the seed checkpoint";
-    for (size_t i = 0; i < count; ++i) {
-      // Serial and batched quant scoring share exact integer accumulation
-      // and the same fp32 rescue: the single-query path must return the
-      // very same items.
-      eval::RecommendResponse single = quant_model.Recommend(requests[i]);
-      ASSERT_EQ(single.items.size(), quant_batch[i].items.size());
-      for (size_t r = 0; r < single.items.size(); ++r) {
-        EXPECT_EQ(single.items[r].poi_id, quant_batch[i].items[r].poi_id);
-        EXPECT_EQ(single.items[r].score, quant_batch[i].items[r].score);
-      }
-      // And against fp32 the response is bitwise-identical: every candidate
-      // that can reach the top-n is rescored in fp32, the rest provably
-      // cannot displace it.
-      ASSERT_EQ(fp32_batch[i].items.size(), quant_batch[i].items.size())
-          << "trained=" << trained << " query " << i;
-      for (size_t r = 0; r < fp32_batch[i].items.size(); ++r) {
-        EXPECT_EQ(fp32_batch[i].items[r].poi_id, quant_batch[i].items[r].poi_id)
-            << "trained=" << trained << " query " << i << " rank " << r;
-        EXPECT_EQ(fp32_batch[i].items[r].score, quant_batch[i].items[r].score)
-            << "trained=" << trained << " query " << i << " rank " << r;
-      }
-    }
-    unsetenv("TSPN_QUANT_SCORING");
-  }
-}
-
-TEST_F(TspnRaTest, QuantScoringInactiveWithoutKnobAndOnAblation) {
-  // Without TSPN_QUANT_SCORING the caches stay fp32-only and
-  // QuantScoringActive() reports it; with the knob, constrained and
-  // no-two-step queries keep returning fp32-identical responses too (the
-  // widening redo and the tc=nullptr fusion paths).
-  auto samples = dataset_->Samples(data::Split::kTest);
-  ASSERT_FALSE(samples.empty());
-  TspnRa model(dataset_, TinyConfig());
-  model.Recommend(samples[0], 10);  // builds fp32 caches
-  EXPECT_FALSE(model.QuantScoringActive());
-
-  TspnRaConfig one_step = TinyConfig();
-  one_step.use_two_step = false;
-  for (const TspnRaConfig& config : {TinyConfig(), one_step}) {
-    TspnRa fp32_model(dataset_, config);
-    setenv("TSPN_QUANT_SCORING", "1", 1);
-    TspnRa quant_model(dataset_, config);
-    for (size_t s = 0; s < std::min<size_t>(4, samples.size()); ++s) {
-      eval::RecommendRequest request;
-      request.sample = samples[s];
-      request.constraints.geo_center = dataset_->profile().bbox.Center();
-      request.constraints.geo_radius_km = 4.0;
-      request.constraints.exclude_visited = true;
-      eval::RecommendResponse quant = quant_model.Recommend(request);
-      unsetenv("TSPN_QUANT_SCORING");
-      eval::RecommendResponse fp32 = fp32_model.Recommend(request);
-      setenv("TSPN_QUANT_SCORING", "1", 1);
-      ASSERT_EQ(quant.items.size(), fp32.items.size()) << "sample " << s;
-      for (size_t r = 0; r < quant.items.size(); ++r) {
-        EXPECT_EQ(quant.items[r].poi_id, fp32.items[r].poi_id);
-        EXPECT_EQ(quant.items[r].score, fp32.items[r].score);
-      }
-    }
-    unsetenv("TSPN_QUANT_SCORING");
   }
 }
 
@@ -671,6 +606,50 @@ TEST_F(TspnRaTest, CheckpointRoundTripPreservesRecommendations) {
   TspnRa c(dataset_, bigger);
   EXPECT_FALSE(c.LoadCheckpoint(path));
   EXPECT_FALSE(c.Recommend(samples[0], 5).empty());
+}
+
+TEST_F(TspnRaTest, LoadCheckpointAfterServingRebuildsCaches) {
+  // A model that has already served (its inference caches are built) must
+  // serve the loaded weights after LoadCheckpoint, on the single and the
+  // batched entry points alike.
+  TspnRa a(dataset_, TinyConfig());
+  eval::TrainOptions options;
+  options.epochs = 1;
+  options.max_samples_per_epoch = 32;
+  a.Train(options);
+  std::string path = ::testing::TempDir() + "/tspn_ckpt_after_serving.bin";
+  a.SaveCheckpoint(path);
+
+  TspnRaConfig other = TinyConfig();
+  other.seed = 99;  // different init
+  TspnRa b(dataset_, other);
+  auto samples = dataset_->Samples(data::Split::kTest);
+  ASSERT_FALSE(samples.empty());
+  EXPECT_FALSE(b.Recommend(samples[0], 10).empty());  // builds b's caches
+  ASSERT_TRUE(b.LoadCheckpoint(path));
+
+  std::vector<eval::RecommendRequest> requests(
+      std::min<size_t>(4, samples.size()));
+  for (size_t i = 0; i < requests.size(); ++i) requests[i].sample = samples[i];
+  std::vector<eval::RecommendResponse> batched =
+      b.RecommendBatch(common::Span<eval::RecommendRequest>(requests));
+  ASSERT_EQ(batched.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const eval::RecommendResponse want = a.Recommend(requests[i]);
+    const eval::RecommendResponse single = b.Recommend(requests[i]);
+    ASSERT_EQ(single.items.size(), want.items.size()) << "query " << i;
+    ASSERT_EQ(batched[i].items.size(), want.items.size()) << "query " << i;
+    for (size_t r = 0; r < want.items.size(); ++r) {
+      EXPECT_EQ(single.items[r].poi_id, want.items[r].poi_id)
+          << "query " << i << " rank " << r;
+      EXPECT_EQ(single.items[r].score, want.items[r].score)
+          << "query " << i << " rank " << r;
+      EXPECT_EQ(batched[i].items[r].poi_id, want.items[r].poi_id)
+          << "query " << i << " rank " << r;
+      EXPECT_EQ(batched[i].items[r].score, want.items[r].score)
+          << "query " << i << " rank " << r;
+    }
+  }
 }
 
 TEST(RankingMetricsTest, FormulasMatchHandComputation) {
