@@ -6,15 +6,18 @@
 // BENCH_micro_ops.json for tools/run_benches.sh to diff against the
 // committed baseline.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "common/rng.h"
+#include "common/top_k.h"
 #include "core/hgat.h"
 #include "graph/qrp_graph.h"
 #include "nn/conv.h"
@@ -304,6 +307,22 @@ nn::Tensor AttentionChain(const nn::Tensor& q, const nn::Tensor& k,
   return nn::ConcatRows(parts);
 }
 
+/// The selection common::TopKIndices replaced: an iota index array over all
+/// n scores, nth_element with a comparator that reads every score through
+/// its index, then a sort of the kept k (k < n only).
+std::vector<int64_t> TopKIndices(const float* scores, int64_t n, int64_t k) {
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  auto better = [scores](int64_t a, int64_t b) {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
+    return a < b;
+  };
+  std::nth_element(order.begin(), order.begin() + k, order.end(), better);
+  order.resize(static_cast<size_t>(k));
+  std::sort(order.begin(), order.end(), better);
+  return order;
+}
+
 }  // namespace seedref
 
 /// A QR-P graph the size the NYC-sim serving workload sees (about 80 nodes,
@@ -588,6 +607,16 @@ int main() {
     cases.push_back({"segment_attention_train_32seg",
                      [train_step, chain] { train_step(chain); },
                      [train_step, fused] { train_step(fused); }});
+  }
+
+  // The stage-1 tile screen at ScreenStress scale: the top 64 of 9216 tile
+  // cosines. Seed: index array + nth_element; now: the one-pass selector.
+  {
+    const Tensor cosines = Tensor::RandomUniform({9216}, 1.0f, rng);
+    cases.push_back(
+        {"topk_9216_k64",
+         [cosines] { seedref::TopKIndices(cosines.data(), 9216, 64); },
+         [cosines] { common::TopKIndices(cosines.data(), 9216, 64); }});
   }
 
   bench::JsonReporter reporter("micro_ops");

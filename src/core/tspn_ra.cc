@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/check.h"
+#include "common/top_k.h"
 #include "core/tspn_ra_internal.h"
 #include "eval/constraints.h"
 #include "nn/kernels.h"
@@ -12,30 +12,6 @@
 #include "nn/serialize.h"
 
 namespace tspn::core {
-
-namespace {
-
-/// Indices of the k largest entries of scores[0..n), ordered by (score desc,
-/// index asc). k >= n degenerates to a full deterministic ranking; k < n uses
-/// nth_element + a sort of only the kept prefix instead of sorting all n.
-std::vector<int64_t> TopKIndices(const float* scores, int64_t n, int64_t k) {
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  auto better = [scores](int64_t a, int64_t b) {
-    if (scores[a] != scores[b]) return scores[a] > scores[b];
-    return a < b;
-  };
-  if (k >= n) {
-    std::sort(order.begin(), order.end(), better);
-    return order;
-  }
-  std::nth_element(order.begin(), order.begin() + k, order.end(), better);
-  order.resize(static_cast<size_t>(k));
-  std::sort(order.begin(), order.end(), better);
-  return order;
-}
-
-}  // namespace
 
 TspnRa::TspnRa(std::shared_ptr<const data::CityDataset> dataset, TspnRaConfig config)
     : dataset_(std::move(dataset)), config_(config) {
@@ -401,9 +377,9 @@ nn::Tensor TspnRa::LossFromFeatures(const Features& f, const nn::Tensor& et,
     // --- Step 2 candidates: POIs in the current top-K tiles (the tile
     // selector acting as negative-sample generator, Sec. V-B). Only the
     // top-K prefix is consumed, so partial selection suffices. ---------------
-    std::vector<int64_t> order =
-        TopKIndices(cos_tiles.data(), static_cast<int64_t>(leaf_tile_ids_.size()),
-                    config_.top_k_tiles);
+    std::vector<int64_t> order = common::TopKIndices(
+        cos_tiles.data(), static_cast<int64_t>(leaf_tile_ids_.size()),
+        config_.top_k_tiles);
     candidate_pois = GatherCandidates(order, config_.top_k_tiles);
     // Global random negatives keep never-screened POI embeddings trained
     // (see TspnRaConfig::num_random_negatives).
@@ -516,8 +492,8 @@ std::vector<int64_t> TspnRa::RankTilesTopK(const data::SampleRef& sample,
   ForwardOut fwd = Forward(f, et_cache_, rng);
   nn::Tensor cos_tiles =
       nn::MatVec(leaf_et_cache_, nn::L2Normalize(fwd.h_tile));
-  return TopKIndices(cos_tiles.data(),
-                     static_cast<int64_t>(leaf_tile_ids_.size()), k);
+  return common::TopKIndices(cos_tiles.data(),
+                             static_cast<int64_t>(leaf_tile_ids_.size()), k);
 }
 
 int64_t TspnRa::TargetTileIndex(const data::SampleRef& sample) const {
@@ -576,16 +552,18 @@ std::vector<int64_t> TspnRa::GatherAllowedCandidates(
   // (score desc, index asc) tile order is a fixed total order, so top-2k's
   // prefix equals top-k and only the newly admitted tiles need gathering;
   // the first widening switches to the full ranking once instead of
-  // re-selecting per round.
+  // re-selecting per round. The initial screen is common::TopKIndices' one
+  // pass over the cosines: almost every tile costs one compare against the
+  // bar of the best top_k seen so far, and no per-tile index array is built.
   int64_t widened = std::min<int64_t>(top_k, tile_cap);
-  std::vector<int64_t> order = TopKIndices(cos_tiles, num_tiles, top_k);
+  std::vector<int64_t> order = common::TopKIndices(cos_tiles, num_tiles, top_k);
   int64_t consumed = widened;
   gather(order, 0, consumed);
   while (static_cast<int64_t>(candidates.size()) < required &&
          widened < tile_cap) {
     widened *= 2;
     if (static_cast<int64_t>(order.size()) < num_tiles) {
-      order = TopKIndices(cos_tiles, num_tiles, num_tiles);
+      order = common::TopKIndices(cos_tiles, num_tiles, num_tiles);
     }
     const int64_t limit = std::min<int64_t>(widened, tile_cap);
     gather(order, consumed, limit);
@@ -611,7 +589,7 @@ std::vector<int64_t> TspnRa::AllAllowedPois(
 void TspnRa::FillRankedItems(const std::vector<int64_t>& candidates,
                              const float* scores, int64_t top_n,
                              eval::RecommendResponse* response) const {
-  std::vector<int64_t> order = TopKIndices(
+  std::vector<int64_t> order = common::TopKIndices(
       scores, static_cast<int64_t>(candidates.size()), top_n);
   response->items.reserve(order.size());
   for (int64_t idx : order) {

@@ -195,7 +195,8 @@ class TspnRa : public eval::NextPoiModel {
       common::Span<eval::RecommendRequest> requests, int32_t top_k) const;
 
   /// Stage-1 candidate gather with constraints applied before selection:
-  /// keeps the top_k tiles by cosine, skips fence-disjoint tiles, filters
+  /// keeps the top_k tiles by cosine (common::TopKIndices, one pass over
+  /// the cosines behind a rising bar), skips fence-disjoint tiles, filters
   /// POIs through `filter`, and doubles the screen until at least
   /// `required` allowed candidates exist (or every tile was screened).
   /// `required` = 1 without constraints, reproducing the v1 behavior

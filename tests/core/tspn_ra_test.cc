@@ -158,6 +158,58 @@ TEST_F(TspnRaTest, RankTilesTopKMatchesFullSortPrefix) {
   }
 }
 
+TEST_F(TspnRaTest, ScreenStressSizedScreenMatchesUncachedPath) {
+  // The ScreenStress shape: a 96x96 grid (9216 candidate tiles) behind a
+  // 64-tile screen, so the one-pass selection streams thousands of tiles
+  // past its bar per query. On this small city many screens hold no POI
+  // and widen, so both the selected and the fully ranked path run.
+  TspnRaConfig config = TinyConfig();
+  config.use_quadtree = false;
+  config.grid_cells_per_side = 96;
+  config.top_k_tiles = 64;
+  TspnRa model(dataset_, config);
+  ASSERT_EQ(model.NumCandidateTiles(), 96 * 96);
+  auto samples = dataset_->Samples(data::Split::kTest);
+  ASSERT_FALSE(samples.empty());
+  const size_t count = std::min<size_t>(24, samples.size());
+  std::vector<eval::RecommendRequest> requests(count);
+  for (size_t s = 0; s < count; ++s) {
+    requests[s].sample = samples[s];
+    requests[s].top_n = 10;
+  }
+  std::vector<eval::RecommendResponse> batched =
+      model.RecommendBatch(common::Span<eval::RecommendRequest>(requests));
+  ASSERT_EQ(batched.size(), count);
+  int unwidened = 0;
+  for (size_t s = 0; s < count; ++s) {
+    // A screen whose tiles hold no POI widens; the reference then screens
+    // the same, wider prefix of the full ranking.
+    const eval::RecommendResponse single = model.Recommend(requests[s]);
+    EXPECT_EQ(batched[s].tiles_screened, single.tiles_screened);
+    if (single.tiles_screened == config.top_k_tiles) ++unwidened;
+    const eval::RecommendResponse uncached = TspnRaTestPeer::Recommend(
+        model, samples[s], 10, static_cast<int32_t>(single.tiles_screened));
+    ASSERT_FALSE(uncached.items.empty()) << "sample " << s;
+    for (const eval::RecommendResponse& cached : {single, batched[s]}) {
+      ASSERT_EQ(cached.items.size(), uncached.items.size()) << "sample " << s;
+      for (size_t i = 0; i < uncached.items.size(); ++i) {
+        EXPECT_EQ(cached.items[i].poi_id, uncached.items[i].poi_id)
+            << "sample " << s << " rank " << i;
+        EXPECT_NEAR(cached.items[i].score, uncached.items[i].score, 1e-5)
+            << "sample " << s << " rank " << i;
+      }
+    }
+    const std::vector<int64_t> full = model.RankTiles(samples[s]);
+    for (int64_t k : {int64_t{1}, int64_t{64}, int64_t{65}, int64_t{1000}}) {
+      const std::vector<int64_t> topk = model.RankTilesTopK(samples[s], k);
+      ASSERT_EQ(static_cast<int64_t>(topk.size()), k);
+      EXPECT_TRUE(std::equal(topk.begin(), topk.end(), full.begin()))
+          << "sample " << s << " k=" << k;
+    }
+  }
+  EXPECT_GT(unwidened, 0);
+}
+
 TEST_F(TspnRaTest, CachedInferenceMatchesUncachedPath) {
   // The cached leaf-matrix + partial-sort inference path must recommend
   // exactly what the per-query gather + full-sort reference recommends.
